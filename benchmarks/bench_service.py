@@ -50,11 +50,15 @@ MULTICORE = ServiceParams(n_clients=64, n_requests=20_000, workers=4)
 MILLION = ServiceParams(n_clients=64,
                         n_requests=50_000 if _SMOKE else 1_000_000,
                         workers=256)
-#: Scheduler overhead: the same cell planned with the full control loop
-#: engaged — SLO valve, affinity selection, epoch rebalancing
-#: (docs/SCHEDULING.md) — gated against the static planner's entry.
-SCHED = replace(MULTICORE, pattern="churn", sched_policy="slo_adaptive",
-                slo_p99_cycles=20000.0, sched_epoch_batches=16)
+#: Scheduler overhead: the same clients and workers planned with the
+#: full control loop engaged — SLO valve, affinity selection, epoch
+#: rebalancing (docs/SCHEDULING.md).  The arrival rate is ~3.75x the
+#: static cell's so the workers are overloaded, and the SLO sits below
+#: the backlog estimate a full queue implies, so the valve really sheds
+#: (at the static cell's rate and a 20k-cycle SLO it never fired).
+SCHED = replace(MULTICORE, pattern="churn", interarrival_cycles=80.0,
+                sched_policy="slo_adaptive", slo_p99_cycles=3000.0,
+                sched_epoch_batches=16)
 
 #: Accumulated machine-readable results, flushed by the module fixture.
 _RESULTS = {}
@@ -181,15 +185,16 @@ def test_static_planning_throughput(benchmark):
 
 
 def test_sched_policy_planning_throughput(benchmark):
-    # Scheduler overhead: the identical cell planned under the heaviest
-    # policy — rolling p99 window, backlog estimator, affinity-first
-    # selection, epoch rebalancing.  The regression gate holds this
+    # Scheduler overhead: the cell planned under the heaviest policy —
+    # rolling p99 window, backlog estimator, affinity-first selection,
+    # epoch rebalancing, and shedding.  The regression gate holds this
     # within the usual threshold of its committed baseline, so the
     # control loop cannot quietly become super-linear in the queue.
     plan = benchmark.pedantic(lambda: build_plan(SCHED), rounds=3,
                               iterations=1)
     offered = plan.n_served + len(plan.rejected) + len(plan.shed)
     assert plan.epochs > 0
+    assert len(plan.shed) > 0
     _record("plan:slo_adaptive-4w", benchmark, offered,
             migrations=plan.migrations, shed=len(plan.shed))
 

@@ -55,8 +55,7 @@ from .params import ServiceParams, nominal_request_cycles
 from .sched.policy import (REJECT, SHED, SchedPolicy, SchedState,
                            policy_by_name)
 from .arrivals import pattern_by_name
-from .traffic import (Request, RequestColumns, generate_request_columns,
-                      generate_requests)
+from .traffic import Request, RequestColumns, generate_request_columns
 
 
 class DispatchClock:
@@ -129,46 +128,54 @@ class PlanColumns:
     Batches are a CSR layout: ``member_rows`` holds row indices into
     ``requests`` in batch-member order, ``batch_starts`` the per-batch
     offsets (``len(batch_starts) == n_batches + 1``);
-    ``batch_clients``/``batch_workers`` are parallel per-batch columns
-    and ``rejected_rows`` the queue-full drops in arrival order.  The
+    ``batch_clients``/``batch_workers`` are parallel per-batch columns,
+    ``rejected_rows`` the queue-full drops and ``shed_rows`` the SLO
+    valve's drops, each in offer order.  Every offered row appears in
+    exactly one of ``member_rows``/``rejected_rows``/``shed_rows``.  The
     streaming server and the latency accounting consume this directly —
     no per-request objects on the million-request path.
     """
 
     __slots__ = ("requests", "member_rows", "batch_starts",
-                 "batch_clients", "batch_workers", "rejected_rows")
+                 "batch_clients", "batch_workers", "rejected_rows",
+                 "shed_rows")
 
     def __init__(self, requests: RequestColumns, member_rows: np.ndarray,
                  batch_starts: np.ndarray, batch_clients: np.ndarray,
-                 batch_workers: np.ndarray, rejected_rows: np.ndarray):
+                 batch_workers: np.ndarray, rejected_rows: np.ndarray,
+                 shed_rows: np.ndarray):
         self.requests = requests
         self.member_rows = member_rows
         self.batch_starts = batch_starts
         self.batch_clients = batch_clients
         self.batch_workers = batch_workers
         self.rejected_rows = rejected_rows
+        self.shed_rows = shed_rows
 
     @classmethod
     def from_objects(cls, batches: Sequence[Batch],
-                     rejected: Sequence[Request]) -> "PlanColumns":
+                     rejected: Sequence[Request],
+                     shed: Sequence[Request]) -> "PlanColumns":
         """Columnarize an object-built plan (plugin planners, tests)."""
         members = [request for batch in batches for request in batch.requests]
-        store = RequestColumns.from_requests(members + list(rejected))
+        store = RequestColumns.from_requests(
+            members + list(rejected) + list(shed))
         sizes = np.fromiter((len(batch.requests) for batch in batches),
                             dtype=np.int64, count=len(batches))
         starts = np.zeros(len(batches) + 1, dtype=np.int64)
         np.cumsum(sizes, out=starts[1:])
+        n_members = len(members)
+        n_dropped = n_members + len(rejected)
         return cls(
             requests=store,
-            member_rows=np.arange(len(members), dtype=np.int64),
+            member_rows=np.arange(n_members, dtype=np.int64),
             batch_starts=starts,
             batch_clients=np.fromiter((b.client for b in batches),
                                       dtype=np.int64, count=len(batches)),
             batch_workers=np.fromiter((b.worker for b in batches),
                                       dtype=np.int64, count=len(batches)),
-            rejected_rows=np.arange(len(members),
-                                    len(members) + len(rejected),
-                                    dtype=np.int64))
+            rejected_rows=np.arange(n_members, n_dropped, dtype=np.int64),
+            shed_rows=np.arange(n_dropped, len(store), dtype=np.int64))
 
     @property
     def n_batches(self) -> int:
@@ -183,11 +190,11 @@ class ServicePlan:
 
     Columnar at heart: plans built by the dispatch simulation carry a
     :class:`PlanColumns` and materialize the historical
-    ``batches``/``rejected`` object lists only on first access (tests,
-    plugin consumers).  Plans may equally be constructed object-first —
-    ``ServicePlan(params=..., batches=[...])`` — in which case
-    :attr:`columns` is derived lazily instead.  Either way the two views
-    hold identical values.
+    ``batches``/``rejected``/``shed`` object lists only on first access
+    (tests, plugin consumers).  Plans may equally be constructed
+    object-first — ``ServicePlan(params=..., batches=[...])`` — in which
+    case :attr:`columns` is derived lazily instead.  Either way the two
+    views hold identical values.
     """
 
     def __init__(self, params: ServiceParams,
@@ -201,15 +208,14 @@ class ServicePlan:
         self._columns = columns
         self._batches = list(batches) if batches is not None else None
         self._rejected = list(rejected) if rejected is not None else None
+        self._shed = list(shed) if shed is not None else None
         if columns is None:
             if self._batches is None:
                 self._batches = []
             if self._rejected is None:
                 self._rejected = []
-        #: Requests the scheduling policy's SLO valve shed (open loop:
-        #: the request is dropped; closed loop: the deferred retry
-        #: already happened inside the loop, this records the deferral).
-        self.shed: List[Request] = list(shed) if shed is not None else []
+            if self._shed is None:
+                self._shed = []
         #: Client->worker affinity re-pins the policy applied at epoch
         #: boundaries, and the epochs it evaluated.
         self.migrations = migrations
@@ -223,7 +229,7 @@ class ServicePlan:
         """The columnar schedule (derived once for object-built plans)."""
         if self._columns is None:
             self._columns = PlanColumns.from_objects(
-                self._batches, self._rejected)
+                self._batches, self._rejected, self._shed)
         return self._columns
 
     @property
@@ -247,6 +253,16 @@ class ServicePlan:
             self._rejected = self._columns.requests.to_requests(
                 self._columns.rejected_rows)
         return self._rejected
+
+    @property
+    def shed(self) -> List[Request]:
+        """Requests the scheduling policy's SLO valve shed (open loop:
+        the request is dropped; closed loop: the deferred retry already
+        happened inside the loop, this records the deferral)."""
+        if self._shed is None:
+            self._shed = self._columns.requests.to_requests(
+                self._columns.shed_rows)
+        return self._shed
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, ServicePlan):
@@ -275,6 +291,12 @@ class ServicePlan:
         return len(self._rejected)
 
     @property
+    def n_shed(self) -> int:
+        if self._columns is not None:
+            return int(self._columns.shed_rows.shape[0])
+        return len(self._shed)
+
+    @property
     def coalesced(self) -> int:
         """Requests that shared a window with an earlier one (the count
         of permission-switch pairs batching saved)."""
@@ -288,27 +310,6 @@ class ServicePlan:
             return self._columns.batch_sizes()
         return np.fromiter((len(b.requests) for b in self._batches),
                            dtype=np.int64, count=len(self._batches))
-
-
-def _take_batch(params: ServiceParams, queue: List[Request],
-                head_index: int = 0) -> List[Request]:
-    """Pop the next batch's members off the queue.
-
-    ``head_index`` is the policy-selected head (within the
-    ``batch_window`` lookahead); coalescing still scans the same window
-    for the head's client, so a reordered head changes *which* client is
-    served, never the coalescing rules.
-    """
-    head = queue[head_index]
-    if params.batching == "client":
-        members = [request for request in queue[:params.batch_window]
-                   if request.client == head.client]
-        members = members[:params.batch_limit]
-    else:
-        members = [head]
-    for request in members:
-        queue.remove(request)
-    return members
 
 
 def build_plan(params: ServiceParams,
@@ -329,126 +330,84 @@ def build_plan(params: ServiceParams,
     policy = policy_by_name(params.sched_policy)
     state = SchedState(params, clock, max(1, params.workers))
     if params.arrival == "closed" and params.dispatch == "replay":
-        plan = _closed_feedback_plan(params, clock, policy, state)
-    elif _is_static(policy):
-        plan = _stream_plan_columns(params, clock)
-    else:
-        plan = _stream_plan(params, clock, policy, state)
-    plan.shed = state.shed
-    plan.migrations = state.migrations
-    plan.epochs = state.epochs
-    return plan
+        return _closed_feedback_plan(params, clock, policy, state)
+    return _stream_plan_columns(params, clock, policy, state)
 
 
-def _is_static(policy: SchedPolicy) -> bool:
-    """Whether the policy's every hook is the base (static) behaviour.
+def _hooks(policy: SchedPolicy):
+    """``(admit, select, observing)`` for one dispatch loop.
 
-    True for ``static`` and for any subclass that overrides nothing the
-    stream loop consults — exactly the plans the columnar fast path can
-    build without a policy round-trip per decision.  Policies with a
-    custom ``admit``/``select`` or an epoch loop take the object path.
+    A hook the policy does not override comes back ``None``: the loops
+    inline the base behaviour instead of paying a round-trip per
+    decision.  Base hooks read only the queue, so a policy with neither
+    hook nor epochs never consults the live profile, and skipping its
+    per-batch fold (``observing`` false) is invisible.
     """
     cls = type(policy)
-    return (cls.admit is SchedPolicy.admit
-            and cls.select is SchedPolicy.select
-            and not policy.uses_epochs)
+    admit = None if cls.admit is SchedPolicy.admit else policy.admit
+    select = None if cls.select is SchedPolicy.select else policy.select
+    return admit, select, bool(admit or select or policy.uses_epochs)
 
 
 def _observe_batch(policy: SchedPolicy, state: SchedState, client: int,
-                   members: List[Request], start: float,
+                   arrivals: List[float], start: float,
                    completion: float) -> None:
     """Post-dispatch control-loop step: fold the batch into the live
     profile and run an epoch boundary when one is due."""
-    state.observe_batch(client, members, start, completion)
+    state.observe_batch(client, arrivals, start, completion)
     if policy.uses_epochs and \
             state.batches_in_epoch >= state.params.sched_epoch_batches:
         state.end_epoch(policy)
 
 
-def _stream_plan(params: ServiceParams, clock: DispatchClock,
-                 policy: SchedPolicy, state: SchedState) -> ServicePlan:
+def _plan(params: ServiceParams, state: SchedState, store: RequestColumns,
+          rows: Tuple[List[int], ...], iterations: int) -> ServicePlan:
+    """Pack a loop's ``(member, size, client, worker, rejected, shed)``
+    row lists into a columnar plan."""
+    members, sizes, clients, workers, rejected, shed = (
+        np.asarray(values, dtype=np.int64) for values in rows)
+    starts = np.zeros(len(sizes) + 1, dtype=np.int64)
+    np.cumsum(sizes, out=starts[1:])
+    columns = PlanColumns(
+        requests=store, member_rows=members, batch_starts=starts,
+        batch_clients=clients, batch_workers=workers,
+        rejected_rows=rejected, shed_rows=shed)
+    return ServicePlan(params=params, migrations=state.migrations,
+                       epochs=state.epochs, loop_iterations=iterations,
+                       columns=columns)
+
+
+def _stream_plan_columns(params: ServiceParams, clock: DispatchClock,
+                         policy: SchedPolicy,
+                         state: SchedState) -> ServicePlan:
     """Dispatch a pre-generated arrival stream (open loop, and the
-    nominal closed loop whose feedback was resolved at stream time)."""
-    stream = generate_requests(params)
-    workers = max(1, params.workers)
-    free = [0.0] * workers
-    queue: List[Request] = []
-    batches: List[Batch] = []
-    rejected: List[Request] = []
-    iterations = 0
-    position = 0  # next unconsumed arrival in the stream
+    nominal closed loop whose feedback was resolved at stream time).
 
-    def admit_until(now: float) -> None:
-        """Move arrivals with ``arrival <= now`` into the queue."""
-        nonlocal position
-        while position < len(stream) and stream[position].arrival <= now:
-            request = stream[position]
-            position += 1
-            verdict = policy.admit(state, request, queue)
-            if verdict == REJECT:
-                rejected.append(request)
-            elif verdict == SHED:
-                state.shed.append(request)
-            else:
-                queue.append(request)
-
-    while position < len(stream) or queue:
-        iterations += 1
-        slot = min(range(workers), key=lambda w: free[w])
-        now = free[slot]
-        if not queue:
-            # Idle worker: jump to the next arrival.
-            now = max(now, stream[position].arrival)
-        admit_until(now)
-        if not queue:
-            free[slot] = now
-            continue
-        index = policy.select(state, queue, slot)
-        head = queue[index]
-        members = _take_batch(params, queue, index)
-        completion = now + clock.batch_cycles(len(members))
-        batches.append(Batch(
-            index=len(batches), client=head.client,
-            requests=tuple(members), worker=slot))
-        free[slot] = completion
-        _observe_batch(policy, state, head.client, members, now, completion)
-
-    return ServicePlan(params=params, batches=batches, rejected=rejected,
-                       loop_iterations=iterations)
-
-
-def _stream_plan_columns(params: ServiceParams,
-                         clock: DispatchClock) -> ServicePlan:
-    """The static-policy dispatch loop over the column store.
-
-    Decision-for-decision identical to :func:`_stream_plan` with the
-    base policy hooks — bounded-queue admission, head-of-line selection,
-    earliest-free worker (ties to the lowest slot, here a heap of
-    ``(free, slot)`` pairs) — but the queue holds plain row indices and
-    the result lands straight in :class:`PlanColumns`: no ``Request`` or
-    ``Batch`` objects exist on this path.  Pinned against the object
-    loop by ``tests/service/test_sched.py`` / ``test_columns.py``.
+    The queue holds row indices into the request column store and the
+    result lands straight in :class:`PlanColumns`: no ``Request`` or
+    ``Batch`` objects exist on this path.  Policy hooks see the queue
+    depth and the lookahead's client ids.  The earliest-free worker
+    (ties to the lowest slot) is the root of a heap of ``(free, slot)``
+    pairs.  A policy-selected head changes *which* client is served;
+    coalescing still scans the ``batch_window`` for that client.
+    Pinned decision for decision against the object-hook oracle in
+    ``tests/service/test_sched.py``.
     """
     store = generate_request_columns(params)
     arrivals = store.arrivals.tolist()
     clients = store.clients.tolist()
     n = len(arrivals)
-    workers = max(1, params.workers)
     max_queue = params.max_queue
     by_client = params.batching == "client"
     window = params.batch_window
     limit = params.batch_limit
     batch_cycles = clock.batch_cycles
-    #: One (free time, slot) entry per worker; the heap root is exactly
-    #: ``min(range(workers), key=free.__getitem__)`` of the object loop.
-    free = [(0.0, slot) for slot in range(workers)]
+    admit, select, observing = _hooks(policy)
+    free = [(0.0, slot) for slot in range(max(1, params.workers))]
     queue: List[int] = []  # admitted rows, arrival order
-    member_rows: List[int] = []
-    sizes: List[int] = []
-    batch_clients: List[int] = []
-    batch_workers: List[int] = []
-    rejected_rows: List[int] = []
-    position = 0
+    rows = member_rows, sizes, batch_clients, batch_workers, \
+        rejected_rows, shed_rows = [], [], [], [], [], []
+    position = 0  # next unconsumed arrival row
     iterations = 0
 
     while position < n or queue:
@@ -462,38 +421,44 @@ def _stream_plan_columns(params: ServiceParams,
         while position < n and arrivals[position] <= now:
             row = position
             position += 1
-            if max_queue and len(queue) >= max_queue:
+            if admit is not None:
+                verdict = admit(state, len(queue))
+            elif max_queue and len(queue) >= max_queue:
+                verdict = REJECT
+            else:
+                queue.append(row)
+                continue
+            if verdict == REJECT:
                 rejected_rows.append(row)
+            elif verdict == SHED:
+                shed_rows.append(row)
             else:
                 queue.append(row)
         if not queue:
             heapq.heapreplace(free, (now, slot))
             continue
-        head_client = clients[queue[0]]
+        index = 0 if select is None else select(
+            state, [clients[row] for row in queue[:window]], slot)
+        client = clients[queue[index]]
         if by_client:
             members = [row for row in queue[:window]
-                       if clients[row] == head_client][:limit]
+                       if clients[row] == client][:limit]
             for row in members:
                 queue.remove(row)
         else:
-            members = [queue.pop(0)]
-        heapq.heapreplace(free, (now + batch_cycles(len(members)), slot))
+            members = [queue.pop(index)]
+        completion = now + batch_cycles(len(members))
+        heapq.heapreplace(free, (completion, slot))
         member_rows.extend(members)
         sizes.append(len(members))
-        batch_clients.append(head_client)
+        batch_clients.append(client)
         batch_workers.append(slot)
+        if observing:
+            _observe_batch(policy, state, client,
+                           [arrivals[row] for row in members], now,
+                           completion)
 
-    starts = np.zeros(len(sizes) + 1, dtype=np.int64)
-    np.cumsum(np.asarray(sizes, dtype=np.int64), out=starts[1:])
-    columns = PlanColumns(
-        requests=store,
-        member_rows=np.asarray(member_rows, dtype=np.int64),
-        batch_starts=starts,
-        batch_clients=np.asarray(batch_clients, dtype=np.int64),
-        batch_workers=np.asarray(batch_workers, dtype=np.int64),
-        rejected_rows=np.asarray(rejected_rows, dtype=np.int64))
-    return ServicePlan(params=params, loop_iterations=iterations,
-                       columns=columns)
+    return _plan(params, state, store, rows, iterations)
 
 
 def _closed_feedback_plan(params: ServiceParams, clock: DispatchClock,
@@ -511,6 +476,9 @@ def _closed_feedback_plan(params: ServiceParams, clock: DispatchClock,
     A policy ``SHED`` verdict is a *deferral* here: the client backs off
     exactly like a queue-full rejection (the existing backoff machinery)
     but the drop is attributed to the SLO valve, not the queue bound.
+    Admission and batch selection work on row indices exactly as in
+    :func:`_stream_plan_columns`; issued requests append to growable
+    columns (row = rid = issue order) that become the plan's store.
     """
     import random
     rng = random.Random(params.seed)
@@ -524,21 +492,25 @@ def _closed_feedback_plan(params: ServiceParams, clock: DispatchClock,
     think = params.think_cycles
     read_fraction = params.read_fraction
     n_requests = params.n_requests
+    max_queue = params.max_queue
+    by_client = params.batching == "client"
+    window = params.batch_window
+    limit = params.batch_limit
+    batch_cycles = clock.batch_cycles
     expovariate = rng.expovariate
     random_draw = rng.random
     heappush, heappop = heapq.heappush, heapq.heappop
-    # Static policies never consult the live profile, so skipping the
-    # per-batch control-loop fold is output-invisible (the base admit /
-    # select hooks read only the queue, and no epochs run).
-    observing = not _is_static(policy)
+    admit, select, observing = _hooks(policy)
     #: (next issue time, client) — a heap keeps client order stable.
     pending = [(expovariate(rate(params, 0.0) / think), client)
                for client in range(params.n_clients)]
     heapq.heapify(pending)
-    queue: List[Request] = []
-    batches: List[Batch] = []
-    rejected: List[Request] = []
-    issued = 0
+    clients: List[int] = []
+    arrivals: List[float] = []
+    writes: List[bool] = []
+    queue: List[int] = []
+    rows = member_rows, sizes, batch_clients, batch_workers, \
+        rejected_rows, shed_rows = [], [], [], [], [], []
     iterations = 0
 
     while True:
@@ -551,43 +523,62 @@ def _closed_feedback_plan(params: ServiceParams, clock: DispatchClock,
             now = free[slot]
         # Admit every issue due by now; rejected clients back off + retry
         # (each retry is a fresh offered request against the budget).
-        while pending and issued < n_requests and pending[0][0] <= now:
+        while pending and len(clients) < n_requests and \
+                pending[0][0] <= now:
             ready, client = heappop(pending)
-            request = Request(
-                rid=issued, client=client, arrival=ready,
-                is_write=random_draw() >= read_fraction)
-            issued += 1
-            verdict = policy.admit(state, request, queue)
-            if verdict == REJECT or verdict == SHED:
-                (rejected if verdict == REJECT else state.shed).append(
-                    request)
-                heappush(
-                    pending,
-                    (ready + expovariate(rate(params, ready) / think),
-                     client))
+            row = len(clients)
+            clients.append(client)
+            arrivals.append(ready)
+            writes.append(random_draw() >= read_fraction)
+            if admit is not None:
+                verdict = admit(state, len(queue))
+            elif max_queue and len(queue) >= max_queue:
+                verdict = REJECT
             else:
-                queue.append(request)
+                queue.append(row)
+                continue
+            if verdict == REJECT:
+                rejected_rows.append(row)
+            elif verdict == SHED:
+                shed_rows.append(row)
+            else:
+                queue.append(row)
+                continue
+            heappush(pending,
+                     (ready + expovariate(rate(params, ready) / think),
+                      client))
         if not queue:
-            if issued >= n_requests or not pending:
+            if len(clients) >= n_requests or not pending:
                 break
             # Idle worker: jump to the next issue.
             free[slot] = max(now, pending[0][0])
             continue
-        index = policy.select(state, queue, slot)
-        head = queue[index]
-        members = _take_batch(params, queue, index)
-        completion = now + clock.batch_cycles(len(members))
-        batches.append(Batch(
-            index=len(batches), client=head.client,
-            requests=tuple(members), worker=slot))
+        index = 0 if select is None else select(
+            state, [clients[row] for row in queue[:window]], slot)
+        client = clients[queue[index]]
+        if by_client:
+            members = [row for row in queue[:window]
+                       if clients[row] == client][:limit]
+            for row in members:
+                queue.remove(row)
+        else:
+            members = [queue.pop(index)]
+        completion = now + batch_cycles(len(members))
         free[slot] = completion
+        member_rows.extend(members)
+        sizes.append(len(members))
+        batch_clients.append(client)
+        batch_workers.append(slot)
         lambd = rate(params, completion) / think
-        for request in members:
-            heappush(pending,
-                     (completion + expovariate(lambd), request.client))
+        for row in members:
+            heappush(pending, (completion + expovariate(lambd), clients[row]))
         if observing:
-            _observe_batch(policy, state, head.client, members, now,
+            _observe_batch(policy, state, client,
+                           [arrivals[row] for row in members], now,
                            completion)
 
-    return ServicePlan(params=params, batches=batches, rejected=rejected,
-                       loop_iterations=iterations)
+    store = RequestColumns(np.arange(len(clients), dtype=np.int64),
+                           np.asarray(clients, dtype=np.int64),
+                           np.asarray(arrivals, dtype=np.float64),
+                           np.asarray(writes, dtype=bool))
+    return _plan(params, state, store, rows, iterations)

@@ -52,7 +52,7 @@ from .. import obs
 from ..errors import SimulationError
 from ..cpu.trace import Trace
 from ..obs.metrics import Histogram
-from ..sim.stats import RunStats
+from ..sim.stats import RunStats, merge_run_stats
 from .batching import Batch, PlanColumns, ServicePlan
 from .sched.accounting import SchedAccounting, fold_shed
 from .sched.profile import profile_tenants
@@ -309,32 +309,8 @@ def account(plan: ServicePlan, trace: Trace, stats: RunStats, *,
     walls: Dict[int, float] = {}
     busy: Dict[int, float] = {}
     _walk_marks(cols, order, marks, latency, sched, walls, busy)
-    wall = max(walls.values()) if walls else 0.0
-    fold_shed(sched, plan)
-
-    served = plan.n_served
-    throughput = served * frequency_hz / wall if wall > 0 else 0.0
-    summary = ServiceSummary(
-        scheme=stats.scheme,
-        n_offered=served + plan.n_rejected + len(plan.shed),
-        n_served=served,
-        n_rejected=plan.n_rejected,
-        n_shed=len(plan.shed),
-        n_batches=cols.n_batches,
-        coalesced=plan.coalesced,
-        perm_switches=stats.perm_switches,
-        cycles=stats.cycles,
-        wall_cycles=wall,
-        throughput_rps=throughput,
-        latency=latency,
-        worker_busy={slot: busy[slot] for slot in sorted(busy)},
-        loop_iterations=plan.loop_iterations,
-        cross_core_shootdowns=stats.cross_core_shootdowns,
-        cross_core_shootdown_cycles=stats.cross_core_shootdown_cycles,
-        sched=sched,
-        stats=stats)
-    _publish(summary, plan)
-    return summary
+    return _summarize(plan, stats, latency, sched, walls, busy,
+                      frequency_hz)
 
 
 def account_sharded(plan: ServicePlan, shards, shard_stats, *,
@@ -366,7 +342,6 @@ def account_sharded(plan: ServicePlan, shards, shard_stats, *,
     final mark clock, and their total equals the merged totals' share —
     is pinned by ``tests/service/test_multicore.py``.
     """
-    from ..sim.stats import merge_run_stats
     shards = list(shards)
     shard_stats = list(shard_stats)
     if len(shards) != len(shard_stats):
@@ -394,31 +369,37 @@ def account_sharded(plan: ServicePlan, shards, shard_stats, *,
                 f"shard {shard.slot}: {len(marks)} marks for "
                 f"{len(partition)} planned batches")
         _walk_marks(cols, partition, marks, latency, sched, walls, busy)
+    return _summarize(plan, merge_run_stats(shard_stats), latency, sched,
+                      walls, busy, frequency_hz)
+
+
+def _summarize(plan: ServicePlan, stats: RunStats, latency: Histogram,
+               sched: SchedAccounting, walls: Dict[int, float],
+               busy: Dict[int, float],
+               frequency_hz: float) -> ServiceSummary:
+    """Assemble (and publish) the summary of one accounted run."""
     wall = max(walls.values()) if walls else 0.0
     fold_shed(sched, plan)
-
-    merged = merge_run_stats(shard_stats)
     served = plan.n_served
-    throughput = served * frequency_hz / wall if wall > 0 else 0.0
     summary = ServiceSummary(
-        scheme=merged.scheme,
-        n_offered=served + plan.n_rejected + len(plan.shed),
+        scheme=stats.scheme,
+        n_offered=served + plan.n_rejected + plan.n_shed,
         n_served=served,
         n_rejected=plan.n_rejected,
-        n_shed=len(plan.shed),
-        n_batches=cols.n_batches,
+        n_shed=plan.n_shed,
+        n_batches=plan.columns.n_batches,
         coalesced=plan.coalesced,
-        perm_switches=merged.perm_switches,
-        cycles=merged.cycles,
+        perm_switches=stats.perm_switches,
+        cycles=stats.cycles,
         wall_cycles=wall,
-        throughput_rps=throughput,
+        throughput_rps=served * frequency_hz / wall if wall > 0 else 0.0,
         latency=latency,
         worker_busy={slot: busy[slot] for slot in sorted(busy)},
         loop_iterations=plan.loop_iterations,
-        cross_core_shootdowns=merged.cross_core_shootdowns,
-        cross_core_shootdown_cycles=merged.cross_core_shootdown_cycles,
+        cross_core_shootdowns=stats.cross_core_shootdowns,
+        cross_core_shootdown_cycles=stats.cross_core_shootdown_cycles,
         sched=sched,
-        stats=merged)
+        stats=stats)
     _publish(summary, plan)
     return summary
 

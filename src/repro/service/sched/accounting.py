@@ -196,7 +196,8 @@ class SchedAccounting:
 
 def fold_shed(accounting: SchedAccounting, plan) -> None:
     """Copy the planner's control-loop outcomes onto the accounting."""
-    for request in plan.shed:
-        accounting.observe_shed(request.client)
+    cols = plan.columns
+    for client in cols.requests.clients[cols.shed_rows].tolist():
+        accounting.observe_shed(client)
     accounting.migrations = plan.migrations
     accounting.epochs = plan.epochs

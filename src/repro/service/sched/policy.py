@@ -25,6 +25,12 @@ deterministic pure function of ``(state, inputs)`` — a policy choice is
 part of the params, so each ``(params, scheme)`` pair stays one
 content-addressed cacheable trace.
 
+Hooks see the dispatch loop's queue as plain values, never request
+objects: :meth:`SchedPolicy.admit` gets the queue depth and
+:meth:`SchedPolicy.select` the client ids of the ``batch_window``
+lookahead, so the planner keeps its queue as row indices into the
+request columns.
+
 The ``static`` policy reproduces the pre-scheduler dispatch loop
 decision for decision; selecting it (or leaving the default) is
 bit-identical to the accounting this subsystem replaced — pinned by
@@ -35,15 +41,15 @@ actuation limits.
 
 from __future__ import annotations
 
+from bisect import bisect_left, insort
 from collections import deque
-from typing import TYPE_CHECKING, Deque, Dict, List, Optional
+from typing import TYPE_CHECKING, Deque, Dict, List, Optional, Sequence
 
 from ...registry import Registry
 
 if TYPE_CHECKING:
     from ..batching import DispatchClock
     from ..params import ServiceParams
-    from ..traffic import Request
 
 #: Scheduling policies (``params.sched_policy``).  Built-ins live in
 #: this module; third parties register through ``REPRO_PLUGINS``.
@@ -96,8 +102,9 @@ class SchedState:
     """
 
     __slots__ = ("params", "clock", "workers", "demand", "epoch_demand",
-                 "affinity", "predicted", "shed", "migrations", "epochs",
-                 "batches_in_epoch", "service_cycles", "service_requests")
+                 "affinity", "predicted", "ordered", "p99", "p99_stale",
+                 "migrations", "epochs", "batches_in_epoch",
+                 "service_cycles", "service_requests")
 
     def __init__(self, params: "ServiceParams", clock: "DispatchClock",
                  workers: int):
@@ -110,11 +117,14 @@ class SchedState:
         self.epoch_demand: Dict[int, float] = {}
         #: client -> pinned worker slot (empty = no affinity).
         self.affinity: Dict[int, int] = {}
-        #: Recent predicted request latencies (completion - arrival).
-        self.predicted: Deque[float] = deque(maxlen=PREDICTION_WINDOW)
-        #: Requests dropped by the policy's SLO valve (not queue-full
-        #: rejects — those stay on ``ServicePlan.rejected``).
-        self.shed: List["Request"] = []
+        #: Recent predicted request latencies (completion - arrival),
+        #: oldest first, at most ``PREDICTION_WINDOW`` of them ...
+        self.predicted: Deque[float] = deque()
+        #: ... and the same values kept sorted, so the p99 is a lookup.
+        self.ordered: List[float] = []
+        #: :meth:`predicted_p99`, memoized until the window next changes.
+        self.p99: Optional[float] = None
+        self.p99_stale = True
         #: Affinity re-pins applied at epoch boundaries.
         self.migrations = 0
         #: Epoch boundaries the control loop evaluated.
@@ -125,28 +135,48 @@ class SchedState:
         self.service_cycles = 0.0
         self.service_requests = 0
 
-    def observe_batch(self, client: int, members, start: float,
-                      completion: float) -> None:
-        """Fold one dispatched batch into the running profile."""
+    def observe_batch(self, client: int, arrivals: Sequence[float],
+                      start: float, completion: float) -> None:
+        """Fold one dispatched batch (its members' arrival times) into
+        the running profile.
+
+        Each member's predicted latency enters the rolling window; the
+        deque keeps push order for eviction while ``ordered`` mirrors
+        it value for value (``bisect_left`` finds an equal entry to
+        drop, and equal floats are interchangeable), so ``ordered ==
+        sorted(predicted)`` after every push.
+        """
         cycles = completion - start
         self.demand[client] = self.demand.get(client, 0.0) + cycles
         self.epoch_demand[client] = \
             self.epoch_demand.get(client, 0.0) + cycles
-        for request in members:
-            self.predicted.append(completion - request.arrival)
+        predicted = self.predicted
+        ordered = self.ordered
+        for arrival in arrivals:
+            if len(predicted) == PREDICTION_WINDOW:
+                del ordered[bisect_left(ordered, predicted.popleft())]
+            latency = completion - arrival
+            predicted.append(latency)
+            insort(ordered, latency)
+        self.p99_stale = True
         self.service_cycles += cycles
-        self.service_requests += len(members)
+        self.service_requests += len(arrivals)
         self.batches_in_epoch += 1
 
     def predicted_p99(self) -> Optional[float]:
         """The p99 of the prediction window (``None`` while cold)."""
-        if len(self.predicted) < MIN_PREDICTIONS:
-            return None
-        ordered = sorted(self.predicted)
-        rank = (len(ordered) - 1) * 0.99
-        low = int(rank)
-        high = min(low + 1, len(ordered) - 1)
-        return ordered[low] + (ordered[high] - ordered[low]) * (rank - low)
+        if self.p99_stale:
+            self.p99_stale = False
+            ordered = self.ordered
+            if len(ordered) < MIN_PREDICTIONS:
+                self.p99 = None
+            else:
+                rank = (len(ordered) - 1) * 0.99
+                low = int(rank)
+                high = min(low + 1, len(ordered) - 1)
+                self.p99 = ordered[low] + \
+                    (ordered[high] - ordered[low]) * (rank - low)
+        return self.p99
 
     def predicted_latency(self, depth: int) -> Optional[float]:
         """Predicted latency of an arrival joining a ``depth``-deep queue.
@@ -188,18 +218,19 @@ class SchedPolicy:
     #: Whether the dispatch loop should run epoch boundaries at all.
     uses_epochs = False
 
-    def admit(self, state: SchedState, request: "Request",
-              queue: List["Request"]) -> str:
-        """Admission verdict for one arrival (bounded-queue default)."""
-        params = state.params
-        if params.max_queue and len(queue) >= params.max_queue:
+    def admit(self, state: SchedState, depth: int) -> str:
+        """Admission verdict for one arrival finding ``depth`` requests
+        queued (bounded-queue default)."""
+        max_queue = state.params.max_queue
+        if max_queue and depth >= max_queue:
             return REJECT
         return ADMIT
 
-    def select(self, state: SchedState, queue: List["Request"],
+    def select(self, state: SchedState, window: Sequence[int],
                slot: int) -> int:
-        """Index (within the ``batch_window`` lookahead) of the request
-        the worker on ``slot`` serves next."""
+        """Index into ``window`` — the client ids of the queue's
+        ``batch_window`` lookahead, queue order — of the request the
+        worker on ``slot`` serves next."""
         return 0
 
     def rebalance(self, state: SchedState,
@@ -209,11 +240,7 @@ class SchedPolicy:
 
     # -- shared helpers ----------------------------------------------------------
 
-    def _window(self, state: SchedState, queue: List["Request"]
-                ) -> List["Request"]:
-        return queue[:min(len(queue), state.params.batch_window)]
-
-    def _fairest(self, state: SchedState, window: List["Request"]) -> int:
+    def _fairest(self, state: SchedState, window: Sequence[int]) -> int:
         """Lookahead index whose client received the least service.
 
         Ties break on queue position, so equally-served clients are
@@ -221,8 +248,7 @@ class SchedPolicy:
         head-of-line exactly like ``static``.
         """
         return min(range(len(window)),
-                   key=lambda i: (state.demand.get(window[i].client, 0.0),
-                                  i))
+                   key=lambda i: (state.demand.get(window[i], 0.0), i))
 
 
 @register_policy("static")
@@ -243,9 +269,9 @@ class WeightedFairPolicy(SchedPolicy):
     override :meth:`_fairest` to weight the virtual time.
     """
 
-    def select(self, state: SchedState, queue: List["Request"],
+    def select(self, state: SchedState, window: Sequence[int],
                slot: int) -> int:
-        return self._fairest(state, self._window(state, queue))
+        return self._fairest(state, window)
 
 
 @register_policy("slo_adaptive")
@@ -279,28 +305,26 @@ class SloAdaptivePolicy(SchedPolicy):
 
     uses_epochs = True
 
-    def admit(self, state: SchedState, request: "Request",
-              queue: List["Request"]) -> str:
+    def admit(self, state: SchedState, depth: int) -> str:
         params = state.params
-        if params.max_queue and len(queue) >= params.max_queue:
+        if params.max_queue and depth >= params.max_queue:
             return REJECT
         target = params.slo_p99_cycles
         if target > 0.0:
             predicted = state.predicted_p99()
-            estimate = state.predicted_latency(len(queue))
+            estimate = state.predicted_latency(depth)
             if predicted is not None and predicted > target \
                     and estimate is not None and estimate > target:
                 return SHED
         return ADMIT
 
-    def select(self, state: SchedState, queue: List["Request"],
+    def select(self, state: SchedState, window: Sequence[int],
                slot: int) -> int:
-        window = self._window(state, queue)
-        if state.affinity:
-            mine = [i for i, request in enumerate(window)
-                    if state.affinity.get(request.client) == slot]
-            if mine:
-                return mine[0]
+        affinity = state.affinity
+        if affinity:
+            for index, client in enumerate(window):
+                if affinity.get(client) == slot:
+                    return index
         return 0
 
     def rebalance(self, state: SchedState,

@@ -4,9 +4,13 @@ under rebalancing, SLO/fairness accounting, and determinism."""
 
 import heapq
 import random
+from collections import deque
 from dataclasses import replace
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.engine import Engine, TraceCache, WorkloadSpec, replay_one
 from repro.experiments.runner import ExperimentRunner
@@ -18,9 +22,12 @@ from repro.scenario.library import find_scenario
 from repro.scenario.run import serve_compiled
 from repro.service import (ServiceParams, account, build_plan, jain_index,
                            policy_names, profile_tenants)
-from repro.service.batching import (Batch, NominalClock, ServicePlan,
-                                    _closed_feedback_plan, _take_batch)
+from repro.service.arrivals import pattern_by_name
+from repro.service.batching import (Batch, CalibratedClock, NominalClock,
+                                    ServicePlan, _closed_feedback_plan)
 from repro.service.sched import SchedState, policy_by_name
+from repro.service.sched.policy import (ADMIT, MIN_PREDICTIONS,
+                                        PREDICTION_WINDOW, REJECT, SHED)
 from repro.service.server import batch_boundaries, generate_service_trace
 from repro.service.traffic import Request, generate_requests, think_gap
 from repro.sim.config import DEFAULT_CONFIG
@@ -126,6 +133,309 @@ def _legacy_closed_plan(params, clock):
                        loop_iterations=iterations)
 
 
+# -- the object-hook planner (pre-columnar, verbatim logic) --------------------
+#
+# The dispatch loops and policies as they were before the planner moved
+# onto row indices: every hook takes ``Request`` objects, the queue is a
+# list of them, and the p99 window is re-sorted on every admission.  Kept
+# here as the oracle the columnar planner is differentially pinned to.
+
+
+class ObjectSchedState:
+    """Per-plan control-loop bookkeeping, object-hook form."""
+
+    __slots__ = ("params", "clock", "workers", "demand", "epoch_demand",
+                 "affinity", "predicted", "shed", "migrations", "epochs",
+                 "batches_in_epoch", "service_cycles", "service_requests")
+
+    def __init__(self, params, clock, workers):
+        self.params = params
+        self.clock = clock
+        self.workers = workers
+        self.demand = {}
+        self.epoch_demand = {}
+        self.affinity = {}
+        self.predicted = deque(maxlen=PREDICTION_WINDOW)
+        self.shed = []
+        self.migrations = 0
+        self.epochs = 0
+        self.batches_in_epoch = 0
+        self.service_cycles = 0.0
+        self.service_requests = 0
+
+    def observe_batch(self, client, members, start, completion):
+        cycles = completion - start
+        self.demand[client] = self.demand.get(client, 0.0) + cycles
+        self.epoch_demand[client] = \
+            self.epoch_demand.get(client, 0.0) + cycles
+        for request in members:
+            self.predicted.append(completion - request.arrival)
+        self.service_cycles += cycles
+        self.service_requests += len(members)
+        self.batches_in_epoch += 1
+
+    def predicted_p99(self):
+        if len(self.predicted) < MIN_PREDICTIONS:
+            return None
+        ordered = sorted(self.predicted)
+        rank = (len(ordered) - 1) * 0.99
+        low = int(rank)
+        high = min(low + 1, len(ordered) - 1)
+        return ordered[low] + (ordered[high] - ordered[low]) * (rank - low)
+
+    def predicted_latency(self, depth):
+        if not self.service_requests:
+            return None
+        mean = self.service_cycles / self.service_requests
+        return (depth + 1.0) * mean / self.workers
+
+    def end_epoch(self, policy):
+        self.epochs += 1
+        self.batches_in_epoch = 0
+        new_affinity = policy.rebalance(self, dict(self.epoch_demand))
+        for client, slot in new_affinity.items():
+            previous = self.affinity.get(client)
+            if previous is not None and previous != slot:
+                self.migrations += 1
+        self.affinity = new_affinity
+        self.epoch_demand = {}
+
+
+class ObjectSchedPolicy:
+    """Base (``static``) hooks over ``Request`` objects."""
+
+    uses_epochs = False
+
+    def admit(self, state, request, queue):
+        params = state.params
+        if params.max_queue and len(queue) >= params.max_queue:
+            return REJECT
+        return ADMIT
+
+    def select(self, state, queue, slot):
+        return 0
+
+    def rebalance(self, state, epoch_demand):
+        return state.affinity
+
+    def _window(self, state, queue):
+        return queue[:min(len(queue), state.params.batch_window)]
+
+    def _fairest(self, state, window):
+        return min(range(len(window)),
+                   key=lambda i: (state.demand.get(window[i].client, 0.0),
+                                  i))
+
+
+class ObjectWeightedFairPolicy(ObjectSchedPolicy):
+    def select(self, state, queue, slot):
+        return self._fairest(state, self._window(state, queue))
+
+
+class ObjectSloAdaptivePolicy(ObjectSchedPolicy):
+    uses_epochs = True
+
+    def admit(self, state, request, queue):
+        params = state.params
+        if params.max_queue and len(queue) >= params.max_queue:
+            return REJECT
+        target = params.slo_p99_cycles
+        if target > 0.0:
+            predicted = state.predicted_p99()
+            estimate = state.predicted_latency(len(queue))
+            if predicted is not None and predicted > target \
+                    and estimate is not None and estimate > target:
+                return SHED
+        return ADMIT
+
+    def select(self, state, queue, slot):
+        window = self._window(state, queue)
+        if state.affinity:
+            mine = [i for i, request in enumerate(window)
+                    if state.affinity.get(request.client) == slot]
+            if mine:
+                return mine[0]
+        return 0
+
+    def rebalance(self, state, epoch_demand):
+        if state.workers <= 1:
+            return {}
+        load = [0.0] * state.workers
+        affinity = {}
+        ordered = sorted(epoch_demand,
+                         key=lambda client: (-epoch_demand[client], client))
+        for client in ordered:
+            slot = min(range(state.workers), key=lambda w: (load[w], w))
+            affinity[client] = slot
+            load[slot] += epoch_demand[client]
+        return affinity
+
+
+OBJECT_POLICIES = {"static": ObjectSchedPolicy(),
+                   "weighted_fair": ObjectWeightedFairPolicy(),
+                   "slo_adaptive": ObjectSloAdaptivePolicy()}
+
+
+def _take_batch(params, queue, head_index=0):
+    """Pop the next batch's members off the queue."""
+    head = queue[head_index]
+    if params.batching == "client":
+        members = [request for request in queue[:params.batch_window]
+                   if request.client == head.client]
+        members = members[:params.batch_limit]
+    else:
+        members = [head]
+    for request in members:
+        queue.remove(request)
+    return members
+
+
+def _object_is_static(policy):
+    cls = type(policy)
+    return (cls.admit is ObjectSchedPolicy.admit
+            and cls.select is ObjectSchedPolicy.select
+            and not policy.uses_epochs)
+
+
+def _object_observe_batch(policy, state, client, members, start,
+                          completion):
+    state.observe_batch(client, members, start, completion)
+    if policy.uses_epochs and \
+            state.batches_in_epoch >= state.params.sched_epoch_batches:
+        state.end_epoch(policy)
+
+
+def _object_stream_plan(params, clock, policy, state):
+    """The object-hook open loop over a pre-generated stream."""
+    stream = generate_requests(params)
+    workers = max(1, params.workers)
+    free = [0.0] * workers
+    queue, batches, rejected = [], [], []
+    iterations = 0
+    position = 0
+
+    def admit_until(now):
+        nonlocal position
+        while position < len(stream) and stream[position].arrival <= now:
+            request = stream[position]
+            position += 1
+            verdict = policy.admit(state, request, queue)
+            if verdict == REJECT:
+                rejected.append(request)
+            elif verdict == SHED:
+                state.shed.append(request)
+            else:
+                queue.append(request)
+
+    while position < len(stream) or queue:
+        iterations += 1
+        slot = min(range(workers), key=lambda w: free[w])
+        now = free[slot]
+        if not queue:
+            now = max(now, stream[position].arrival)
+        admit_until(now)
+        if not queue:
+            free[slot] = now
+            continue
+        index = policy.select(state, queue, slot)
+        head = queue[index]
+        members = _take_batch(params, queue, index)
+        completion = now + clock.batch_cycles(len(members))
+        batches.append(Batch(
+            index=len(batches), client=head.client,
+            requests=tuple(members), worker=slot))
+        free[slot] = completion
+        _object_observe_batch(policy, state, head.client, members, now,
+                              completion)
+
+    return ServicePlan(params=params, batches=batches, rejected=rejected,
+                       loop_iterations=iterations)
+
+
+def _object_closed_plan(params, clock, policy, state):
+    """The object-hook closed feedback loop."""
+    rng = random.Random(params.seed)
+    workers = max(1, params.workers)
+    free = [0.0] * workers
+    pattern = pattern_by_name(params.pattern)
+    rate = pattern.rate
+    think = params.think_cycles
+    read_fraction = params.read_fraction
+    n_requests = params.n_requests
+    expovariate = rng.expovariate
+    random_draw = rng.random
+    heappush, heappop = heapq.heappush, heapq.heappop
+    observing = not _object_is_static(policy)
+    pending = [(expovariate(rate(params, 0.0) / think), client)
+               for client in range(params.n_clients)]
+    heapq.heapify(pending)
+    queue, batches, rejected = [], [], []
+    issued = 0
+    iterations = 0
+
+    while True:
+        iterations += 1
+        if workers == 1:
+            slot = 0
+            now = free[0]
+        else:
+            slot = min(range(workers), key=free.__getitem__)
+            now = free[slot]
+        while pending and issued < n_requests and pending[0][0] <= now:
+            ready, client = heappop(pending)
+            request = Request(
+                rid=issued, client=client, arrival=ready,
+                is_write=random_draw() >= read_fraction)
+            issued += 1
+            verdict = policy.admit(state, request, queue)
+            if verdict == REJECT or verdict == SHED:
+                (rejected if verdict == REJECT else state.shed).append(
+                    request)
+                heappush(
+                    pending,
+                    (ready + expovariate(rate(params, ready) / think),
+                     client))
+            else:
+                queue.append(request)
+        if not queue:
+            if issued >= n_requests or not pending:
+                break
+            free[slot] = max(now, pending[0][0])
+            continue
+        index = policy.select(state, queue, slot)
+        head = queue[index]
+        members = _take_batch(params, queue, index)
+        completion = now + clock.batch_cycles(len(members))
+        batches.append(Batch(
+            index=len(batches), client=head.client,
+            requests=tuple(members), worker=slot))
+        free[slot] = completion
+        lambd = rate(params, completion) / think
+        for request in members:
+            heappush(pending,
+                     (completion + expovariate(lambd), request.client))
+        if observing:
+            _object_observe_batch(policy, state, head.client, members, now,
+                                  completion)
+
+    return ServicePlan(params=params, batches=batches, rejected=rejected,
+                       loop_iterations=iterations)
+
+
+def _object_plan(params, clock):
+    """``build_plan`` as it dispatched before the columnar planner."""
+    policy = OBJECT_POLICIES[params.sched_policy]
+    state = ObjectSchedState(params, clock, max(1, params.workers))
+    if params.arrival == "closed" and params.dispatch == "replay":
+        plan = _object_closed_plan(params, clock, policy, state)
+    else:
+        plan = _object_stream_plan(params, clock, policy, state)
+    return ServicePlan(params=params, batches=plan.batches,
+                       rejected=plan.rejected, shed=state.shed,
+                       migrations=state.migrations, epochs=state.epochs,
+                       loop_iterations=plan.loop_iterations)
+
+
 class TestStaticBitIdentity:
     """``static`` (the default) must reproduce the legacy loop exactly."""
 
@@ -152,7 +462,7 @@ class TestStaticBitIdentity:
         assert current.batches == legacy.batches
         assert current.rejected == legacy.rejected
         assert current.loop_iterations == legacy.loop_iterations
-        assert state.shed == [] and state.migrations == 0
+        assert current.shed == [] and state.migrations == 0
 
     def test_default_policy_is_static(self):
         assert ServiceParams().sched_policy == "static"
@@ -169,6 +479,94 @@ class TestStaticBitIdentity:
         changed = WorkloadSpec.service(n_clients=8, n_requests=80,
                                        sched_policy="weighted_fair")
         assert changed.cache_key() != base.cache_key()
+
+
+def _assert_matches_object_plan(params, clock):
+    """The columnar planner equals the object-hook oracle, and its row
+    columns partition the offered stream."""
+    plan = build_plan(params, clock=clock)
+    oracle = _object_plan(params, clock)
+    assert plan.batches == oracle.batches
+    assert plan.rejected == oracle.rejected
+    assert plan.shed == oracle.shed
+    assert plan.loop_iterations == oracle.loop_iterations
+    assert plan.epochs == oracle.epochs
+    assert plan.migrations == oracle.migrations
+    cols = plan.columns
+    outcome = np.concatenate([cols.member_rows, cols.rejected_rows,
+                              cols.shed_rows])
+    assert sorted(outcome.tolist()) == list(range(len(cols.requests)))
+    return plan
+
+
+@st.composite
+def _planner_cases(draw):
+    """One (params, clock) cell across every planner branch."""
+    closed = draw(st.booleans())
+    params = ServiceParams(
+        seed=draw(st.integers(0, 2**16)),
+        n_clients=draw(st.integers(2, 12)),
+        n_requests=draw(st.integers(40, 240)),
+        arrival="closed" if closed else "open",
+        dispatch="replay" if closed else "nominal",
+        think_cycles=draw(st.sampled_from([2000.0, 20000.0])),
+        interarrival_cycles=draw(st.sampled_from([60.0, 150.0, 300.0])),
+        sched_policy=draw(st.sampled_from(
+            ["static", "weighted_fair", "slo_adaptive"])),
+        workers=draw(st.sampled_from([1, 2, 4])),
+        batching=draw(st.sampled_from(["client", "none"])),
+        max_queue=draw(st.sampled_from([0, 3, 8])),
+        slo_p99_cycles=draw(st.sampled_from([0.0, 1000.0, 4000.0])),
+        sched_epoch_batches=draw(st.integers(2, 8)))
+    clock = NominalClock(params)
+    if draw(st.booleans()):
+        clock = CalibratedClock("probe",
+                                draw(st.floats(0.0, 2000.0)),
+                                draw(st.floats(100.0, 800.0)))
+    return params, clock
+
+
+class TestPlannerOracle:
+    """The columnar planner against the object-hook oracle above."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(_planner_cases())
+    def test_planner_equals_object_oracle(self, case):
+        _assert_matches_object_plan(*case)
+
+    @pytest.mark.parametrize("arrival", ["open", "closed"])
+    def test_control_loop_engaged_case(self, arrival):
+        # A fixed cell where every actuation point fires, so the
+        # differential test above cannot pass vacuously.
+        params = replace(CHURN, sched_policy="slo_adaptive",
+                         sched_epoch_batches=8, slo_p99_cycles=1000.0,
+                         max_queue=8, interarrival_cycles=60.0,
+                         think_cycles=960.0, arrival=arrival,
+                         dispatch="replay" if arrival == "closed"
+                         else "nominal")
+        plan = _assert_matches_object_plan(params, NominalClock(params))
+        assert plan.n_shed > 0 and plan.n_rejected > 0
+        assert plan.epochs > 0 and plan.migrations > 0
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.one_of(st.integers(0, 3).map(float),
+                              st.floats(0.0, 1e6)),
+                    min_size=PREDICTION_WINDOW + 1,
+                    max_size=3 * PREDICTION_WINDOW),
+           st.integers(1, 9))
+    def test_sorted_window_matches_sorted_deque(self, latencies, size):
+        # A few recurring values force ties among unique ones, and past
+        # PREDICTION_WINDOW samples every push evicts one of them.
+        params = ServiceParams()
+        state = SchedState(params, NominalClock(params), 1)
+        for at in range(0, len(latencies), size):
+            chunk = latencies[at:at + size]
+            state.observe_batch(0, [-x for x in chunk], 0.0, 0.0)
+            assert len(state.predicted) <= PREDICTION_WINDOW
+            assert state.ordered == sorted(state.predicted)
+            oracle = ObjectSchedState(params, state.clock, 1)
+            oracle.predicted.extend(state.predicted)
+            assert state.predicted_p99() == oracle.predicted_p99()
 
 
 class TestRegistry:
