@@ -30,7 +30,7 @@ def _trace():
 
 
 def _overheads(trace, ws, config):
-    results = replay_trace(trace, ws,
+    results = replay_trace(trace,
                            viable_schemes(MULTI_PMO_SCHEMES, N_POOLS),
                            config)
     return [overhead_over_lowerbound(results, s) for s in SCHEMES]

@@ -23,7 +23,7 @@ def test_thread_scaling(benchmark, save_report):
             params = MicroParams(benchmark="avl", n_pools=256,
                                  operations=1200, threads=threads)
             trace, ws = generate_micro_trace(params)
-            results = replay_trace(trace, ws,
+            results = replay_trace(trace,
                                    viable_schemes(MULTI_PMO_SCHEMES, 256))
             rows.append(
                 [f"{threads} thread(s)"]

@@ -59,7 +59,7 @@ def main() -> None:
     workload.overread(victim=1)
     trace = workload.finish()
     try:
-        replay_trace(trace, workload.ws, ("domain_virt",))
+        replay_trace(trace, ("domain_virt",))
         raise AssertionError("the over-read should have faulted!")
     except ProtectionFault as fault:
         print(f"over-read into client 1's PMO blocked: "

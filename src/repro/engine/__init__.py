@@ -3,8 +3,9 @@ parallel replay.
 
 Layering (bottom up):
 
-* :mod:`repro.engine.job` — :class:`WorkloadSpec` / :class:`ReplayJob`,
-  pure picklable descriptions with stable content hashes;
+* :mod:`repro.engine.job` — :class:`WorkloadSpec`, a pure picklable
+  description with a stable content hash, and :class:`ReplayJob`, one
+  scheme replay of a resolved trace;
 * :mod:`repro.engine.cache` — :class:`TraceCache`, the two-layer
   (memory + ``REPRO_TRACE_CACHE`` disk) trace store;
 * :mod:`repro.engine.context` — :class:`ReplayContext`, isolated replay
@@ -17,7 +18,7 @@ Layering (bottom up):
 
 from .cache import (DEFAULT_CACHE_DIR, ENV_CACHE, CacheStats, TraceCache,
                     trace_cache_root)
-from .context import ReplayContext, replay_items, replay_one
+from .context import ReplayContext, replay_one
 from .core import Engine
 from .executor import ENV_JOBS, parallel_map, replay_jobs, worker_count
 from .job import ReplayJob, WorkloadSpec
@@ -33,7 +34,6 @@ __all__ = [
     "TraceCache",
     "WorkloadSpec",
     "parallel_map",
-    "replay_items",
     "replay_jobs",
     "replay_one",
     "trace_cache_root",

@@ -9,9 +9,11 @@ the three layers together:
 
 A driver describes what it wants as :class:`WorkloadSpec`s and scheme
 names; the engine warms the trace cache (generating only what no cache
-layer has), fans the resulting :class:`ReplayJob` grid over workers, and
-regroups the :class:`RunStats` per spec with ``baseline_cycles`` wired
-up — exactly the shape :func:`repro.sim.simulator.replay_trace` returns.
+layer has), resolves each spec to its trace, and hands the resulting
+:class:`ReplayJob` cells to :func:`replay_cells` — the one runner every
+replay entry point, :func:`repro.sim.simulator.replay_trace` included,
+goes through.  It fans the jobs over workers and regroups the
+:class:`RunStats` per cell with ``baseline_cycles`` wired up.
 
 The engine also hosts a small result-memoization table
 (:meth:`memoize`) so expensive derived results (the Figure 6 sweep) can
@@ -28,19 +30,38 @@ from ..cpu.trace import Trace
 from ..sim.config import DEFAULT_CONFIG, SimConfig
 from ..sim.stats import RunStats
 from .cache import CacheStats, TraceCache
-from .executor import (TraceJob, parallel_map, replay_jobs,
-                       replay_trace_jobs, worker_count)
+from .executor import parallel_map, replay_jobs, worker_count
 from .job import ReplayJob, WorkloadSpec
 
 BASELINE = "baseline"
 
 
-def _warm_spec(item: Tuple[WorkloadSpec, Optional[str]]):
-    """Worker entry point: materialize one spec's trace into the cache."""
-    spec, root = item
-    cache = TraceCache(root)
-    trace = cache.get_or_generate(spec)
-    return trace, cache.stats.generations
+def replay_cells(cells: Sequence[Sequence[ReplayJob]], *,
+                 jobs: Optional[int] = None) -> List[Dict[str, RunStats]]:
+    """The one replay runner: fan every cell's jobs out as one batch.
+
+    A cell is the jobs of one trace, one per scheme.  Returns one
+    ``scheme -> RunStats`` dict per cell, in order; when a cell holds a
+    baseline job, every other job's ``baseline_cycles`` is wired from it.
+    """
+    stats = iter(replay_jobs([job for cell in cells for job in cell],
+                             jobs=jobs))
+    results: List[Dict[str, RunStats]] = []
+    for cell in cells:
+        result = {job.scheme: next(stats) for job in cell}
+        baseline = result.get(BASELINE)
+        if baseline is not None:
+            for name, stat in result.items():
+                if name != BASELINE:
+                    stat.baseline_cycles = baseline.cycles
+        results.append(result)
+    return results
+
+
+def with_baseline(schemes: Iterable[str]) -> Tuple[str, ...]:
+    """``baseline`` first, then each named scheme once."""
+    return (BASELINE, *(name for name in dict.fromkeys(schemes)
+                        if name != BASELINE))
 
 
 class Engine:
@@ -68,15 +89,11 @@ class Engine:
         """Traces actually generated (not served from a cache layer)."""
         return self.cache.stats.generations
 
-    def _root_token(self) -> str:
-        """Cache root to embed in jobs shipped to workers."""
-        return str(self.cache.root) if self.cache.enabled else "0"
-
     def _report_cache_delta(self, snapshot: CacheStats) -> None:
-        """Report parent-side cache activity since ``snapshot`` (obs).
+        """Report cache activity since ``snapshot`` (obs).
 
-        Worker-side activity rides back on ``RunStats.metrics``; this
-        covers requests the engine serves in-process (warm, trace_for).
+        Replay workers never open the cache (their jobs carry resolved
+        traces), so this covers every request: warm and trace_for.
         """
         registry = obs.metrics()
         if registry is not None:
@@ -123,9 +140,12 @@ class Engine:
                 return
             n = worker_count(self.jobs)
             if n > 1 and len(missing) > 1:
-                root = self._root_token()
-                warmed = parallel_map(
-                    _warm_spec, [(spec, root) for spec in missing], jobs=n)
+                def generate(spec: WorkloadSpec):
+                    before = self.cache.stats.generations
+                    trace = self.cache.get_or_generate(spec)
+                    return trace, self.cache.stats.generations - before
+
+                warmed = parallel_map(generate, missing, jobs=n)
                 for spec, (trace, generations) in zip(missing, warmed):
                     self.cache.seed(spec, trace)
                     self.cache.stats.generations += generations
@@ -137,6 +157,17 @@ class Engine:
 
     # -- replay --------------------------------------------------------------------
 
+    def _spec_jobs(self, spec: WorkloadSpec, schemes: Iterable[str],
+                   config: SimConfig,
+                   marks: Optional[Sequence[int]] = None) -> List[ReplayJob]:
+        """One cell: ``spec``'s (warmed) trace under each scheme."""
+        trace = self.trace_for(spec)
+        if marks is not None:
+            marks = tuple(int(mark) for mark in marks)
+        return [ReplayJob(trace=trace, scheme=name, config=config,
+                          marks=marks, label=spec.label)
+                for name in schemes]
+
     def replay_grid(self, cells: Sequence[Tuple[WorkloadSpec, SimConfig]],
                     schemes: Iterable[str], *,
                     include_baseline: bool = True
@@ -146,30 +177,14 @@ class Engine:
         Returns one ``scheme -> RunStats`` dict per cell, in order; the
         whole (cell x scheme) job grid fans out over the executor.
         """
-        names = [name for name in dict.fromkeys(schemes) if name != BASELINE]
+        names = with_baseline(schemes)
         self.warm([spec for spec, _ in cells])
-        root = self._root_token()
-        grid = [ReplayJob(spec=spec, scheme=name, config=config,
-                          cache_root=root)
-                for spec, config in cells
-                for name in (BASELINE, *names)]
-        ev = obs.active_events()
-        if ev is not None:
-            for job in grid:
-                ev.emit("job.submit", label=job.spec.label, scheme=job.scheme)
-        stats = replay_jobs(grid, jobs=self.jobs)
-        stride = 1 + len(names)
-        results: List[Dict[str, RunStats]] = []
-        for i in range(len(cells)):
-            chunk = stats[i * stride:(i + 1) * stride]
-            baseline = chunk[0]
-            cell: Dict[str, RunStats] = {}
-            if include_baseline:
-                cell[BASELINE] = baseline
-            for name, stat in zip(names, chunk[1:]):
-                stat.baseline_cycles = baseline.cycles
-                cell[name] = stat
-            results.append(cell)
+        results = replay_cells(
+            [self._spec_jobs(spec, names, config) for spec, config in cells],
+            jobs=self.jobs)
+        if not include_baseline:
+            for cell in results:
+                del cell[BASELINE]
         return results
 
     def replay(self, spec: WorkloadSpec, schemes: Iterable[str],
@@ -190,26 +205,13 @@ class Engine:
         cycle clock at each marked event index.  The service layer uses
         this to turn one replay into per-batch completion times.
         """
-        config = config or self.config
-        names = [name for name in dict.fromkeys(schemes) if name != BASELINE]
         self.warm([spec])
-        root = self._root_token()
-        marks = tuple(int(mark) for mark in marks)
-        grid = [ReplayJob(spec=spec, scheme=name, config=config,
-                          cache_root=root, marks=marks)
-                for name in (BASELINE, *names)]
-        ev = obs.active_events()
-        if ev is not None:
-            for job in grid:
-                ev.emit("job.submit", label=job.spec.label, scheme=job.scheme)
-        stats = replay_jobs(grid, jobs=self.jobs)
-        baseline = stats[0]
-        cell: Dict[str, RunStats] = {}
-        if include_baseline:
-            cell[BASELINE] = baseline
-        for name, stat in zip(names, stats[1:]):
-            stat.baseline_cycles = baseline.cycles
-            cell[name] = stat
+        cell = replay_cells(
+            [self._spec_jobs(spec, with_baseline(schemes),
+                             config or self.config, marks)],
+            jobs=self.jobs)[0]
+        if not include_baseline:
+            del cell[BASELINE]
         return cell
 
     def replay_shards(self, shards: Sequence, schemes: Iterable[str],
@@ -221,7 +223,7 @@ class Engine:
         ``shards`` is the slot-ordered output of
         :func:`repro.service.shard.shard_by_worker`; every scheme (plus
         the baseline) replays every shard with that shard's own marks,
-        and the whole (scheme x shard) grid fans out over the fork
+        and the whole (shard x scheme) grid fans out over the fork
         executor — a 64-worker service run is a 64-way parallel replay.
         Returns ``scheme -> [RunStats per slot, slot order]`` with each
         shard's ``baseline_cycles`` wired from the same slot's baseline
@@ -231,28 +233,16 @@ class Engine:
         """
         config = config or self.config
         shards = list(shards)
-        names = [name for name in dict.fromkeys(schemes) if name != BASELINE]
-        n_cores = len(shards)
-        grid = [TraceJob(trace=shard.trace, scheme=name, config=config,
-                         marks=tuple(int(m) for m in shard.marks),
-                         n_cores=n_cores, label=shard.trace.label)
-                for name in (BASELINE, *names)
-                for shard in shards]
-        ev = obs.active_events()
-        if ev is not None:
-            for job in grid:
-                ev.emit("job.submit", label=job.label, scheme=job.scheme)
-        stats = replay_trace_jobs(grid, jobs=self.jobs)
-        per_scheme: Dict[str, List[RunStats]] = {}
-        for i, name in enumerate((BASELINE, *names)):
-            per_scheme[name] = stats[i * n_cores:(i + 1) * n_cores]
-        baseline = per_scheme[BASELINE]
-        for name in names:
-            for stat, base in zip(per_scheme[name], baseline):
-                stat.baseline_cycles = base.cycles
-        if not include_baseline:
-            per_scheme.pop(BASELINE)
-        return per_scheme
+        names = with_baseline(schemes)
+        cells = replay_cells(
+            [[ReplayJob(trace=shard.trace, scheme=name, config=config,
+                        marks=tuple(int(m) for m in shard.marks),
+                        n_cores=len(shards), label=shard.trace.label)
+              for name in names]
+             for shard in shards],
+            jobs=self.jobs)
+        return {name: [cell[name] for cell in cells]
+                for name in names if include_baseline or name != BASELINE}
 
     def replay_marked_keyed(self, spec: WorkloadSpec,
                             schemes: Iterable[str],
@@ -270,62 +260,25 @@ class Engine:
         is no shared ``"baseline"`` entry in the result — each scheme's
         baseline belongs to its own schedule.
         """
+        from ..service.server import batch_boundaries
         config = config or self.config
         names = list(dict.fromkeys(schemes))
-        variants = {name: spec.keyed(name) for name in names}
-        self.warm(list(variants.values()))
-        from ..service.server import batch_boundaries
-        root = self._root_token()
-        grid: List[ReplayJob] = []
-        spans: List[Tuple[str, int]] = []  # (name, jobs in its span)
-        for name in names:
-            vspec = variants[name]
-            marks = tuple(batch_boundaries(self.trace_for(vspec)))
+        variants = [spec.keyed(name) for name in names]
+        self.warm(variants)
+        cells = []
+        for name, vspec in zip(names, variants):
             pair = (BASELINE, name) if include_baseline and \
                 name != BASELINE else (name,)
-            for scheme in pair:
-                grid.append(ReplayJob(spec=vspec, scheme=scheme,
-                                      config=config, cache_root=root,
-                                      marks=marks))
-            spans.append((name, len(pair)))
-        ev = obs.active_events()
-        if ev is not None:
-            for job in grid:
-                ev.emit("job.submit", label=job.spec.label, scheme=job.scheme)
-        stats = replay_jobs(grid, jobs=self.jobs)
-        cell: Dict[str, RunStats] = {}
-        position = 0
-        for name, width in spans:
-            chunk = stats[position:position + width]
-            position += width
-            result = chunk[-1]
-            if width == 2 or name == BASELINE:
-                result.baseline_cycles = chunk[0].cycles
-            cell[name] = result
-        return cell
-
-    def replay_many(self, specs: Sequence[WorkloadSpec],
-                    schemes: Iterable[str], *,
-                    config: Optional[SimConfig] = None,
-                    include_baseline: bool = True,
-                    release: bool = False) -> List[Dict[str, RunStats]]:
-        """Replay several specs under one config (one result per spec)."""
-        config = config or self.config
-        results = self.replay_grid([(spec, config) for spec in specs],
-                                   schemes, include_baseline=include_baseline)
-        if release:
-            for spec in specs:
-                self.release(spec)
-        return results
-
-    def replay_configs(self, spec: WorkloadSpec,
-                       configs: Sequence[SimConfig],
-                       schemes: Iterable[str], *,
-                       include_baseline: bool = True
-                       ) -> List[Dict[str, RunStats]]:
-        """Replay one spec under several configs (sensitivity sweeps)."""
-        return self.replay_grid([(spec, config) for config in configs],
-                                schemes, include_baseline=include_baseline)
+            cells.append(self._spec_jobs(
+                vspec, pair, config, batch_boundaries(self.trace_for(vspec))))
+        results = replay_cells(cells, jobs=self.jobs)
+        out: Dict[str, RunStats] = {}
+        for name, result in zip(names, results):
+            if name == BASELINE:
+                # A baseline variant is its own denominator.
+                result[BASELINE].baseline_cycles = result[BASELINE].cycles
+            out[name] = result[name]
+        return out
 
     # -- derived-result memoization ---------------------------------------------------
 

@@ -6,9 +6,10 @@ the trace layout, so serial and parallel execution produce bit-identical
 :class:`~repro.sim.stats.RunStats`.
 
 Worker count comes from ``REPRO_JOBS`` (default 1 = serial).  Workers
-are started with the ``fork`` method so they inherit the parent's warm
-in-memory trace cache; platforms without ``fork`` fall back to serial
-execution rather than re-shipping traces.
+are started with the ``fork`` method and inherit the work list by
+reference: only an item index goes down the pipe and only results are
+pickled back.  Platforms without ``fork`` fall back to serial execution
+rather than re-shipping traces.
 """
 
 from __future__ import annotations
@@ -18,8 +19,7 @@ import multiprocessing
 import os
 import pathlib
 import time
-from typing import (Callable, List, NamedTuple, Optional, Sequence, Tuple,
-                    TypeVar)
+from typing import Callable, List, Optional, Sequence, Tuple, TypeVar
 
 from .. import obs
 from ..sim.stats import RunStats
@@ -65,30 +65,6 @@ def profile_dir(override: Optional[str] = None) -> Optional[pathlib.Path]:
     return pathlib.Path(raw)
 
 
-def _replay_job(trace, job: ReplayJob) -> RunStats:
-    """Replay one job, honoring the ``REPRO_PROFILE`` knob."""
-    from .context import replay_one
-    prof_dir = profile_dir()
-    if prof_dir is None:
-        return replay_one(trace, job.scheme, job.config, marks=job.marks)
-    import cProfile
-    profile = cProfile.Profile()
-    profile.enable()
-    try:
-        stats = replay_one(trace, job.scheme, job.config, marks=job.marks)
-    finally:
-        profile.disable()
-        prof_dir.mkdir(parents=True, exist_ok=True)
-        path = prof_dir / (f"{job.spec.label}-{job.scheme}-"
-                           f"{os.getpid()}-{next(_PROFILE_SEQ)}.pstats")
-        profile.dump_stats(path)
-        ev = obs.active_events()
-        if ev is not None:
-            ev.emit("job.profile", label=job.spec.label, scheme=job.scheme,
-                    path=str(path))
-    return stats
-
-
 def _fork_available() -> bool:
     try:
         return "fork" in multiprocessing.get_all_start_methods()
@@ -96,9 +72,25 @@ def _fork_available() -> bool:
         return False
 
 
+#: ``(fn, items)`` of the :func:`parallel_map` call in flight.  Set
+#: before the pool forks, so every worker inherits it and receives only
+#: item indices.
+_FORK_WORK: Optional[Tuple[Callable, Sequence]] = None
+
+
+def _call_forked(index: int):
+    fn, items = _FORK_WORK
+    return fn(items[index])
+
+
 def parallel_map(fn: Callable[[T], R], items: Sequence[T], *,
                  jobs: Optional[int] = None) -> List[R]:
-    """``map(fn, items)`` over ``jobs`` forked workers (serial if 1)."""
+    """``map(fn, items)`` over ``jobs`` forked workers (serial if 1).
+
+    Neither ``fn`` nor the items are pickled: the workers inherit them
+    from the parent at fork time.  Only the results travel back.
+    """
+    global _FORK_WORK
     items = list(items)
     n = worker_count(jobs)
     if n <= 1 or len(items) <= 1 or not _fork_available():
@@ -109,43 +101,62 @@ def parallel_map(fn: Callable[[T], R], items: Sequence[T], *,
     if ev is not None:
         ev.flush()
     ctx = multiprocessing.get_context("fork")
-    with ctx.Pool(processes=min(n, len(items))) as pool:
-        return pool.map(fn, items)
+    _FORK_WORK = (fn, items)
+    try:
+        with ctx.Pool(processes=min(n, len(items))) as pool:
+            return pool.map(_call_forked, range(len(items)))
+    finally:
+        _FORK_WORK = None
 
 
 def _run_job(job: ReplayJob) -> RunStats:
-    """Execute one replay job (used as the worker entry point).
+    """Execute one replay job (the worker entry point).
 
-    With observability on, the job's wall/CPU time and trace-cache
-    activity are folded into the returned ``RunStats.metrics`` so the
-    parent can merge them across workers (fork ships nothing back but
-    the pickled result).
+    ``REPRO_PROFILE`` dumps one cProfile ``.pstats`` file per job.  With
+    observability on, the job's wall/CPU time is folded into the
+    returned ``RunStats.metrics`` so the parent can merge it across
+    workers (fork ships nothing back but the pickled result).
     """
-    from .cache import TraceCache
-    cache = TraceCache(job.cache_root)
-    if not obs.enabled():
-        trace = cache.get_or_generate(job.spec)
-        return _replay_job(trace, job)
-    label = job.spec.label
+    from .context import replay_one
     ev = obs.active_events()
     if ev is not None:
-        ev.emit("job.replay", label=label, scheme=job.scheme)
+        ev.emit("job.replay", label=job.label, scheme=job.scheme)
+    prof_dir = profile_dir()
+    profile = None
+    if prof_dir is not None:
+        import cProfile
+        profile = cProfile.Profile()
+        profile.enable()
     wall0 = time.perf_counter()
     cpu0 = time.process_time()
-    trace = cache.get_or_generate(job.spec)
-    stats = _replay_job(trace, job)
-    wall = time.perf_counter() - wall0
-    cpu = time.process_time() - cpu0
+    try:
+        stats = replay_one(job.trace, job.scheme, job.config,
+                           marks=job.marks, n_cores=job.n_cores)
+    finally:
+        wall = time.perf_counter() - wall0
+        cpu = time.process_time() - cpu0
+        if profile is not None:
+            profile.disable()
+            prof_dir.mkdir(parents=True, exist_ok=True)
+            # Shard labels read "<trace>/shard<N>"; keep one flat dir.
+            name = job.label.replace("/", "_")
+            path = prof_dir / (f"{name}-{job.scheme}-"
+                               f"{os.getpid()}-{next(_PROFILE_SEQ)}.pstats")
+            profile.dump_stats(path)
+            if ev is not None:
+                ev.emit("job.profile", label=job.label, scheme=job.scheme,
+                        path=str(path))
+    if not obs.enabled():
+        return stats
     registry = obs.MetricsRegistry()
     if stats.metrics:
         registry.merge(stats.metrics)
-    cache.stats.report_metrics(registry)
     registry.counter("engine.jobs.completed").inc()
     registry.histogram("engine.job.wall_s").observe(wall)
     registry.histogram("engine.job.cpu_s").observe(cpu)
     stats.metrics = registry.as_dict()
     if ev is not None:
-        ev.emit("job.done", label=label, scheme=job.scheme,
+        ev.emit("job.done", label=job.label, scheme=job.scheme,
                 wall_s=round(wall, 6), cpu_s=round(cpu, 6))
         ev.flush()
     return stats
@@ -174,93 +185,18 @@ def _merge_batch_metrics(results: Sequence[RunStats], elapsed: float,
         ev.flush()
 
 
-class TraceJob(NamedTuple):
-    """One shard replay shipped directly as a trace (no cache lookup).
-
-    Unlike :class:`~repro.engine.job.ReplayJob` — which names a cached
-    spec the worker re-loads — a trace job carries its (sub-)trace in
-    the item itself.  Trace shards are slices of an already-generated
-    service trace; they have no cache identity of their own, so the
-    parent ships them over the fork boundary (``TraceColumns`` pickles
-    as its five raw arrays).
-    """
-
-    trace: object
-    scheme: str
-    config: object
-    marks: Tuple[int, ...]
-    #: Cores of the surrounding simulated machine (the shard count);
-    #: schemes attribute cross-core shootdown slices when > 1.
-    n_cores: int
-    label: str
-
-
-def _run_trace_job(job: TraceJob) -> RunStats:
-    """Execute one shard replay (worker entry point).
-
-    Same obs wrapping as :func:`_run_job` — wall/CPU time and the
-    completion counter fold into ``RunStats.metrics`` so the parent's
-    :func:`_merge_batch_metrics` treats shard replays and cached-spec
-    replays identically.
-    """
-    from .context import replay_one
-    if not obs.enabled():
-        return replay_one(job.trace, job.scheme, job.config,
-                          marks=job.marks, n_cores=job.n_cores)
-    ev = obs.active_events()
-    if ev is not None:
-        ev.emit("job.replay", label=job.label, scheme=job.scheme)
-    wall0 = time.perf_counter()
-    cpu0 = time.process_time()
-    stats = replay_one(job.trace, job.scheme, job.config,
-                       marks=job.marks, n_cores=job.n_cores)
-    wall = time.perf_counter() - wall0
-    cpu = time.process_time() - cpu0
-    registry = obs.MetricsRegistry()
-    if stats.metrics:
-        registry.merge(stats.metrics)
-    registry.counter("engine.jobs.completed").inc()
-    registry.histogram("engine.job.wall_s").observe(wall)
-    registry.histogram("engine.job.cpu_s").observe(cpu)
-    stats.metrics = registry.as_dict()
-    if ev is not None:
-        ev.emit("job.done", label=job.label, scheme=job.scheme,
-                wall_s=round(wall, 6), cpu_s=round(cpu, 6))
-        ev.flush()
-    return stats
-
-
-def replay_trace_jobs(items: Sequence[TraceJob], *,
-                      jobs: Optional[int] = None) -> List[RunStats]:
-    """Run a batch of shard replays, fanning out over workers.
-
-    Results come back in item order; per-job obs metrics merge into the
-    parent registry through the same batch-merge path as
-    :func:`replay_jobs`.
-    """
-    items = list(items)
-    if not obs.enabled():
-        return parallel_map(_run_trace_job, items, jobs=jobs)
-    wall0 = time.perf_counter()
-    results = parallel_map(_run_trace_job, items, jobs=jobs)
-    _merge_batch_metrics(results, time.perf_counter() - wall0,
-                         worker_count(jobs))
-    return results
-
-
 def replay_jobs(jobs_list: Sequence[ReplayJob], *,
                 jobs: Optional[int] = None) -> List[RunStats]:
     """Run a batch of replay jobs, fanning out over workers.
 
-    Results come back in job order.  Jobs should reference traces the
-    parent has already warmed (via :meth:`repro.engine.core.Engine.warm`)
-    so workers only replay; a cold job still works — the worker
-    generates the trace itself — it just duplicates generation effort
-    when several cold jobs share a spec.
+    Emits one ``job.submit`` event per job; results come back in job
+    order, and per-job obs metrics merge into the parent registry.
     """
     jobs_list = list(jobs_list)
-    if not obs.enabled():
-        return parallel_map(_run_job, jobs_list, jobs=jobs)
+    ev = obs.active_events()
+    if ev is not None:
+        for job in jobs_list:
+            ev.emit("job.submit", label=job.label, scheme=job.scheme)
     wall0 = time.perf_counter()
     results = parallel_map(_run_job, jobs_list, jobs=jobs)
     _merge_batch_metrics(results, time.perf_counter() - wall0,

@@ -1,14 +1,14 @@
 """The declarative job model: what to generate and what to replay.
 
 A :class:`WorkloadSpec` names one traceable execution (suite + fully
-resolved parameters); a :class:`ReplayJob` is one replay of that
-execution under one protection scheme and one :class:`SimConfig`.  Both
-are pure picklable data with stable content hashes, so they can be
+resolved parameters).  It is pure picklable data with a stable content
+hash, so it keys the persistent trace cache (the hash covers every
+parameter plus the trace-format version — any change regenerates) and
+memoized results.
 
-* used as keys of the persistent trace cache (the spec hash covers every
-  parameter plus the trace-format version — any change regenerates),
-* shipped to ``multiprocessing`` workers by the parallel executor, and
-* deduplicated/memoized by result consumers.
+A :class:`ReplayJob` is one replay of an already-resolved trace under
+one protection scheme and one :class:`SimConfig` — the unit the
+parallel executor fans out.
 """
 
 from __future__ import annotations
@@ -163,31 +163,23 @@ class WorkloadSpec:
 
 @dataclasses.dataclass(frozen=True)
 class ReplayJob:
-    """One scheme replay of one spec — pure data, safe to pickle.
+    """One scheme replay of one trace: the executor's only job type.
 
-    ``cache_root`` is placement, not content (same job, different cache
-    directory), so it is excluded from :meth:`content_hash`.
+    The parent resolves the trace first (``Engine.trace_for`` for a
+    spec, the shard itself for a per-worker shard); forked workers
+    inherit the job list by reference, so nothing here is pickled.
     """
 
-    spec: WorkloadSpec
+    trace: Trace
     scheme: str
     config: SimConfig = DEFAULT_CONFIG
-    #: Trace-cache root for the executing worker; ``None`` = environment
-    #: default, ``"0"`` = disabled (the worker then relies on the
-    #: fork-inherited in-memory cache).
-    cache_root: Optional[str] = None
     #: Event indices to snapshot elapsed cycles at
     #: (``RunStats.mark_cycles``); the service layer derives per-batch
     #: completion times from these.  ``None`` = plain unmarked replay.
     marks: Optional[Tuple[int, ...]] = None
-
-    def content_hash(self) -> str:
-        """Stable identity over spec + scheme + full configuration."""
-        document = {"spec": self.spec.describe(),
-                    "scheme": self.scheme,
-                    "config": dataclasses.asdict(self.config)}
-        if self.marks is not None:
-            # Only marked jobs carry the key, so unmarked hashes are
-            # unchanged from before marks existed.
-            document["marks"] = list(self.marks)
-        return _digest(document)
+    #: Cores of the surrounding simulated machine (the shard count);
+    #: schemes attribute cross-core shootdown slices when > 1.
+    n_cores: int = 1
+    #: Names the job in ``job.*`` events and ``REPRO_PROFILE`` dumps:
+    #: the spec label for spec replays, the shard label for shards.
+    label: str = ""

@@ -48,9 +48,8 @@ from ..errors import PkeyError
 from ..registry import RegistryKeyError
 from ..scenario import Scenario, compile_scenario
 from ..scenario.spec import ScenarioError
-from ..service import (ServiceSummary, account, account_sharded,
-                       batch_boundaries, build_plan, build_plan_keyed,
-                       shard_by_worker)
+from ..service import (ServiceSummary, account_sharded, build_plan,
+                       build_plan_keyed, shard_by_worker)
 from .reporting import format_table
 from .runner import ExperimentRunner
 
@@ -69,29 +68,21 @@ SMOKE_CLIENTS = (6, 12)
 SMOKE_REQUESTS = 160
 
 
-def _accounted(engine, spec, plan, trace, canonical, config, frequency, *,
-               include_baseline=True):
+def _accounted(engine, plan, trace, canonical, config, frequency):
     """Replay canonical scheme names over one plan/trace and account them.
 
-    With one worker this is the classic path — one marked replay of the
-    whole trace per scheme.  With more, the trace splits into one shard
-    per worker slot (:func:`~repro.service.shard.shard_by_worker`), each
-    replaying on its own simulated core, and the per-shard results merge
-    back through :func:`~repro.service.latency.account_sharded` — the
-    path where MPKV/libmpk accrue cross-core shootdown attribution
-    (``docs/MULTICORE.md``).
+    The trace splits into one shard per worker slot
+    (:func:`~repro.service.shard.shard_by_worker`), each replaying on its
+    own simulated core, and the per-shard results merge back through
+    :func:`~repro.service.latency.account_sharded` — the path where
+    MPKV/libmpk accrue cross-core shootdown attribution
+    (``docs/MULTICORE.md``).  A one-worker trace is its own single shard,
+    so this is the whole-trace marked replay.
     """
-    if max(1, spec.params.workers) > 1:
-        shards = shard_by_worker(trace)
-        cell = engine.replay_shards(shards, canonical, config,
-                                    include_baseline=include_baseline)
-        return {name: account_sharded(plan, shards, cell[name],
-                                      frequency_hz=frequency)
-                for name in canonical}
-    marks = batch_boundaries(trace)
-    cell = engine.replay_marked(spec, canonical, marks, config,
-                                include_baseline=include_baseline)
-    return {name: account(plan, trace, cell[name], frequency_hz=frequency)
+    shards = shard_by_worker(trace)
+    cell = engine.replay_shards(shards, canonical, config)
+    return {name: account_sharded(plan, shards, cell[name],
+                                  frequency_hz=frequency)
             for name in canonical}
 
 
@@ -112,7 +103,7 @@ def _summaries_nominal(engine, spec, names, config, frequency):
     fragile = _fragile(names)
     sturdy = [n for n in names if n not in fragile]
     if sturdy:
-        cell = _accounted(engine, spec, plan, trace,
+        cell = _accounted(engine, plan, trace,
                           [resolve_scheme(n) for n in sturdy], config,
                           frequency)
         for name in sturdy:
@@ -120,8 +111,8 @@ def _summaries_nominal(engine, spec, names, config, frequency):
     for name in fragile:
         canonical = resolve_scheme(name)
         try:
-            cell = _accounted(engine, spec, plan, trace, [canonical],
-                              config, frequency, include_baseline=False)
+            cell = _accounted(engine, plan, trace, [canonical],
+                              config, frequency)
             row[name] = cell[canonical]
         except PkeyError:
             row[name] = None
@@ -130,56 +121,28 @@ def _summaries_nominal(engine, spec, names, config, frequency):
 
 
 def _summaries_keyed(engine, spec, names, config, frequency):
-    """One schedule/trace *per scheme* (``dispatch="replay"``)."""
+    """One schedule/trace *per scheme* (``dispatch="replay"``).
+
+    Variants replay one at a time, each released before the next.  A
+    hard-limited scheme's wall surfaces at its calibration replay
+    (trace generation) and becomes a ``None`` row.
+    """
     row: Dict[str, Optional[ServiceSummary]] = {}
     fragile = _fragile(names)
-    sturdy = [n for n in names if n not in fragile]
-
-    if max(1, spec.params.workers) > 1:
-        # Sharded replay goes variant by variant: each scheme's keyed
-        # trace splits into its own per-worker shards.
-        def keyed_sharded(name: str) -> ServiceSummary:
-            canonical = resolve_scheme(name)
-            vspec = spec.keyed(canonical)
-            plan = build_plan_keyed(spec.params, canonical)
-            cell = _accounted(engine, vspec, plan, engine.trace_for(vspec),
-                              [canonical], config, frequency)
-            engine.release(vspec)
-            return cell[canonical]
-
-        for name in sturdy:
-            row[name] = keyed_sharded(name)
-        for name in fragile:
-            try:
-                row[name] = keyed_sharded(name)
-            except PkeyError:
-                row[name] = None
-        return row
-
-    def account_keyed(name: str, stats) -> ServiceSummary:
+    for name in [n for n in names if n not in fragile] + fragile:
         canonical = resolve_scheme(name)
         vspec = spec.keyed(canonical)
-        plan = build_plan_keyed(spec.params, canonical)
-        summary = account(plan, engine.trace_for(vspec), stats,
-                          frequency_hz=frequency)
-        engine.release(vspec)
-        return summary
-
-    if sturdy:
-        cell = engine.replay_marked_keyed(
-            spec, [resolve_scheme(n) for n in sturdy], config)
-        for name in sturdy:
-            row[name] = account_keyed(name, cell[resolve_scheme(name)])
-    for name in fragile:
-        # The calibration replay itself hits the key wall, so the
-        # failure surfaces at trace generation rather than replay.
-        canonical = resolve_scheme(name)
         try:
-            cell = engine.replay_marked_keyed(spec, [canonical], config,
-                                              include_baseline=False)
-            row[name] = account_keyed(name, cell[canonical])
+            plan = build_plan_keyed(spec.params, canonical)
+            cell = _accounted(engine, plan, engine.trace_for(vspec),
+                              [canonical], config, frequency)
         except PkeyError:
+            if name not in fragile:
+                raise
             row[name] = None
+            continue
+        engine.release(vspec)
+        row[name] = cell[canonical]
     return row
 
 

@@ -6,24 +6,19 @@ evaluated scheme.  :func:`replay_trace` mirrors that: the baseline
 (unprotected) replay establishes the denominator, then each scheme replays
 the *same* trace and records its overhead buckets.
 
-Traces that carry a recorded layout (every trace produced by
-``Workspace.finish`` since format v2) replay in **isolated contexts**:
-each scheme gets a private kernel/process/page-table rebuilt from the
-layout (:mod:`repro.engine.context`), so replays are order-independent
-and can fan out over ``REPRO_JOBS`` worker processes.  Layout-less
-traces (hand-built or legacy) fall back to the historical shared-
-workspace replay.
+Every scheme replays in an **isolated context**: a private
+kernel/process/page-table rebuilt from the trace's recorded layout
+(:mod:`repro.engine.context`; every trace produced by
+``Workspace.finish`` since format v2 carries one), so replays are
+order-independent and fan out over ``REPRO_JOBS`` worker processes.
 """
 
 from __future__ import annotations
 
 from typing import Dict, Iterable, Optional
 
-from ..core.schemes import (NullProtection, scheme_by_name, schemes_tagged,
-                            supports_domain_count)
-from ..cpu.fast_timing import make_replay_engine
+from ..core.schemes import schemes_tagged, supports_domain_count
 from ..cpu.trace import Trace
-from ..workloads.base import Workspace
 from .config import DEFAULT_CONFIG, SimConfig
 from .stats import RunStats
 
@@ -48,57 +43,26 @@ def viable_schemes(schemes: Iterable[str], n_domains: int) -> tuple:
                  if supports_domain_count(name, n_domains))
 
 
-def _replay_shared(trace: Trace, workspace: Workspace, names, config,
-                   include_baseline: bool) -> Dict[str, RunStats]:
-    """Legacy path: replay sequentially against the generating workspace."""
-    kernel, process = workspace.kernel, workspace.process
-    results: Dict[str, RunStats] = {}
-    baseline = make_replay_engine(config, kernel, process,
-                                  NullProtection).run(trace)
-    if include_baseline:
-        results["baseline"] = baseline
-    for name in names:
-        engine = make_replay_engine(config, kernel, process,
-                                    scheme_by_name(name))
-        stats = engine.run(trace)
-        stats.baseline_cycles = baseline.cycles
-        results[name] = stats
-    return results
-
-
-def replay_trace(trace: Trace, workspace: Optional[Workspace] = None,
-                 schemes: Iterable[str] = MULTI_PMO_SCHEMES,
+def replay_trace(trace: Trace, schemes: Iterable[str] = MULTI_PMO_SCHEMES,
                  config: Optional[SimConfig] = None,
                  *, include_baseline: bool = True,
                  jobs: Optional[int] = None) -> Dict[str, RunStats]:
     """Replay one trace under the baseline plus each named scheme.
 
     Returns scheme name → :class:`RunStats`; every non-baseline result has
-    ``baseline_cycles`` filled in so ``overhead_percent()`` works.
-
-    ``workspace`` is only consulted for traces without a recorded layout;
-    layout-bearing traces rebuild fresh state per scheme, and ``jobs``
-    (default: ``REPRO_JOBS``) schemes replay concurrently.
+    ``baseline_cycles`` filled in so ``overhead_percent()`` works.  The
+    schemes replay concurrently over ``jobs`` workers (default:
+    ``REPRO_JOBS``).
     """
+    from ..engine.core import BASELINE, replay_cells, with_baseline
+    from ..engine.job import ReplayJob
     config = config or DEFAULT_CONFIG
-    names = [name for name in dict.fromkeys(schemes) if name != "baseline"]
-
-    if trace.layout is None:
-        if workspace is None:
-            raise ValueError(
-                "trace has no layout; pass its generating workspace")
-        return _replay_shared(trace, workspace, names, config,
-                              include_baseline)
-
-    from ..engine.context import replay_items
-    stats_list = replay_items(trace, ["baseline", *names], config, jobs=jobs)
-    baseline = stats_list[0]
-    results: Dict[str, RunStats] = {}
-    if include_baseline:
-        results["baseline"] = baseline
-    for name, stats in zip(names, stats_list[1:]):
-        stats.baseline_cycles = baseline.cycles
-        results[name] = stats
+    results = replay_cells(
+        [[ReplayJob(trace=trace, scheme=name, config=config,
+                    label=trace.label)
+          for name in with_baseline(schemes)]], jobs=jobs)[0]
+    if not include_baseline:
+        del results[BASELINE]
     return results
 
 

@@ -187,10 +187,10 @@ def merge_run_stats(shards: List[RunStats]) -> RunStats:
     and overhead bucket across the shards **in slot order** — a fixed
     float-addition order, so the merge is deterministic.  Per-shard obs
     metrics merge through the same :class:`~repro.obs.metrics`
-    machinery the fork executor uses.  ``mark_cycles`` stays unset: the
-    per-shard mark clocks live on per-core timelines and only make sense
-    shard by shard (the service layer consumes them per slot before
-    merging).
+    machinery the fork executor uses.  ``mark_cycles`` is kept only for
+    a single shard, whose merge is that shard's run: per-shard mark
+    clocks live on per-core timelines and only make sense shard by shard
+    (the service layer consumes them per slot before merging).
     """
     if not shards:
         raise ValueError("merge_run_stats needs at least one shard")
@@ -217,4 +217,6 @@ def merge_run_stats(shards: List[RunStats]) -> RunStats:
             registry.merge(stats.metrics)
     if registry is not None:
         merged.metrics = registry.as_dict()
+    if len(shards) == 1:
+        merged.mark_cycles = shards[0].mark_cycles
     return merged

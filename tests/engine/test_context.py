@@ -2,15 +2,36 @@
 
 import pytest
 
+from repro.core.schemes import NullProtection, scheme_by_name
+from repro.cpu.fast_timing import make_replay_engine
 from repro.engine import ReplayContext, replay_one
 from repro.errors import EngineError
 from repro.mem.memory import NVM_FRAME_BASE
-from repro.sim.simulator import MULTI_PMO_SCHEMES, _replay_shared
+from repro.sim.simulator import MULTI_PMO_SCHEMES
 from repro.sim.config import DEFAULT_CONFIG
 from repro.cpu.trace import Trace
 from repro.workloads.micro import MicroParams, generate_micro_trace
 
 TINY = dict(n_pools=12, operations=150, initial_nodes=16, pool_size=1 << 20)
+
+
+def _replay_shared(trace, workspace, names, config):
+    """Isolation oracle: the historical shared-workspace replay.
+
+    Every scheme replays in turn against the generating workspace's own
+    kernel and process, so scheme-side mutation carries over from one
+    replay to the next.
+    """
+    kernel, process = workspace.kernel, workspace.process
+    baseline = make_replay_engine(config, kernel, process,
+                                  NullProtection).run(trace)
+    results = {"baseline": baseline}
+    for name in names:
+        stats = make_replay_engine(config, kernel, process,
+                                   scheme_by_name(name)).run(trace)
+        stats.baseline_cycles = baseline.cycles
+        results[name] = stats
+    return results
 
 
 @pytest.fixture(scope="module")
@@ -81,7 +102,7 @@ class TestIsolation:
         t_shared, ws = generate_micro_trace(params)
         t_fresh, _ = generate_micro_trace(params)
         shared = _replay_shared(t_shared, ws, list(MULTI_PMO_SCHEMES),
-                                DEFAULT_CONFIG, True)
+                                DEFAULT_CONFIG)
         for name, stats in shared.items():
             fresh = replay_one(t_fresh, name)
             # baseline_cycles is wiring done by the caller, not a replay

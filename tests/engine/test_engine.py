@@ -52,10 +52,11 @@ class TestReplayGrouping:
         for name in MULTI_PMO_SCHEMES:
             assert results[name].baseline_cycles == base
 
-    def test_replay_many_preserves_spec_order(self, engine):
+    def test_replay_grid_preserves_cell_order(self, engine):
         specs = [WorkloadSpec.micro("ll", 8, **TINY),
                  WorkloadSpec.micro("ll", 16, **TINY)]
-        results = engine.replay_many(specs, ("lowerbound",))
+        results = engine.replay_grid(
+            [(spec, engine.config) for spec in specs], ("lowerbound",))
         assert len(results) == 2
         # Each batch slot must match its spec's individual replay.
         for spec, batched in zip(specs, results):

@@ -38,9 +38,25 @@ class TestParallelMap:
         assert parallel_map(_square, list(range(8)), jobs=4) == \
             [x * x for x in range(8)]
 
+    @pytest.mark.skipif(not _fork_available(), reason="requires fork")
+    def test_items_are_inherited_not_pickled(self):
+        # Workers inherit the function and the items at fork time; only
+        # indices go down the pipe.  A lambda would not pickle either.
+        items = [_Unpicklable(x) for x in range(6)]
+        assert parallel_map(lambda item: item.value * 10, items, jobs=2) == \
+            [x * 10 for x in range(6)]
+
 
 def _square(x):
     return x * x
+
+
+class _Unpicklable:
+    def __init__(self, value):
+        self.value = value
+
+    def __reduce__(self):
+        raise TypeError("parallel_map must not pickle its items")
 
 
 @pytest.mark.skipif(not _fork_available(), reason="requires fork")

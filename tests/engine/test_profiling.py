@@ -5,14 +5,17 @@ import pstats
 import pytest
 
 from repro import obs
+from repro.engine import Engine
 from repro.engine.executor import _run_job, profile_dir
 from repro.engine.job import ReplayJob, WorkloadSpec
+from repro.service import ServiceParams, generate_service_trace, \
+    shard_by_worker
 
 
 def _job():
-    return ReplayJob(
-        spec=WorkloadSpec.micro("rbt", 2, initial_nodes=8, operations=20),
-        scheme="baseline", cache_root="0")
+    spec = WorkloadSpec.micro("rbt", 2, initial_nodes=8, operations=20)
+    trace, _ws = spec.generate()
+    return ReplayJob(trace=trace, scheme="baseline", label=spec.label)
 
 
 class TestKnobParsing:
@@ -34,7 +37,6 @@ class TestKnobParsing:
 class TestProfileDump:
     def test_job_dumps_readable_pstats(self, monkeypatch, tmp_path):
         monkeypatch.setenv("REPRO_PROFILE", str(tmp_path))
-        monkeypatch.setenv("REPRO_TRACE_CACHE", "0")
         stats = _run_job(_job())
         assert stats.instructions > 0
         dumps = list(tmp_path.glob("micro-rbt-2-baseline-*.pstats"))
@@ -43,7 +45,6 @@ class TestProfileDump:
 
     def test_profile_path_announced_via_event(self, monkeypatch, tmp_path):
         monkeypatch.setenv("REPRO_PROFILE", str(tmp_path))
-        monkeypatch.setenv("REPRO_TRACE_CACHE", "0")
         monkeypatch.setenv("REPRO_EVENTS", "ring")
         obs.reset()
         try:
@@ -60,10 +61,26 @@ class TestProfileDump:
         assert (tmp_path / record["path"].rsplit("/", 1)[-1]).exists()
 
     def test_results_unchanged_by_profiling(self, monkeypatch, tmp_path):
-        monkeypatch.setenv("REPRO_TRACE_CACHE", "0")
         monkeypatch.delenv("REPRO_PROFILE", raising=False)
         plain = _run_job(_job())
         monkeypatch.setenv("REPRO_PROFILE", str(tmp_path))
         profiled = _run_job(_job())
         assert repr(plain.cycles) == repr(profiled.cycles)
         assert plain.buckets == profiled.buckets
+
+
+class TestShardProfiling:
+    def test_one_dump_per_scheme_shard_job(self, monkeypatch, tmp_path):
+        trace, _ws = generate_service_trace(
+            ServiceParams(n_clients=4, n_requests=40, workers=2))
+        shards = shard_by_worker(trace)
+        assert len(shards) == 2
+        monkeypatch.setenv("REPRO_PROFILE", str(tmp_path))
+        Engine(jobs=1).replay_shards(shards, ["domain_virt"])
+        dumps = sorted(path.name for path in tmp_path.glob("*.pstats"))
+        assert len(dumps) == 4  # (baseline, domain_virt) x 2 shards
+        for shard in shards:
+            label = shard.trace.label.rsplit("/", 1)[-1]
+            for scheme in ("baseline", "domain_virt"):
+                assert sum(f"{label}-{scheme}-" in name
+                           for name in dumps) == 1

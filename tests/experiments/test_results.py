@@ -13,7 +13,7 @@ from repro.workloads.micro import MicroParams, generate_micro_trace
 def results():
     trace, ws = generate_micro_trace(MicroParams(
         benchmark="ss", n_pools=4, initial_nodes=8, operations=25))
-    return replay_trace(trace, ws, ("lowerbound", "domain_virt"))
+    return replay_trace(trace, ("lowerbound", "domain_virt"))
 
 
 class TestStoreLoad:

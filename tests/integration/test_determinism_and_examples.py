@@ -20,8 +20,8 @@ class TestReplayDeterminism:
 
     def test_same_trace_same_cycles(self, generated):
         trace, ws = generated
-        first = replay_trace(trace, ws, ("mpk_virt", "domain_virt"))
-        second = replay_trace(trace, ws, ("mpk_virt", "domain_virt"))
+        first = replay_trace(trace, ("mpk_virt", "domain_virt"))
+        second = replay_trace(trace, ("mpk_virt", "domain_virt"))
         for scheme in ("baseline", "mpk_virt", "domain_virt"):
             assert first[scheme].cycles == second[scheme].cycles
             assert first[scheme].tlb_misses == second[scheme].tlb_misses
@@ -30,15 +30,15 @@ class TestReplayDeterminism:
         trace, ws = generated
         pool = next(iter(ws.pools.values())).pool
         before = pool.memory.read(4096, 512)
-        replay_trace(trace, ws, ("libmpk",))
+        replay_trace(trace, ("libmpk",))
         assert pool.memory.read(4096, 512) == before
 
     def test_end_to_end_regeneration_reproduces_cycles(self):
         params = MicroParams(benchmark="rbt", **TINY)
         t1, ws1 = generate_micro_trace(params)
         t2, ws2 = generate_micro_trace(params)
-        r1 = replay_trace(t1, ws1, ("domain_virt",))
-        r2 = replay_trace(t2, ws2, ("domain_virt",))
+        r1 = replay_trace(t1, ("domain_virt",))
+        r2 = replay_trace(t2, ("domain_virt",))
         assert r1["domain_virt"].cycles == r2["domain_virt"].cycles
 
 
@@ -48,7 +48,7 @@ class TestMultithreadedGeneration:
             MicroParams(benchmark="avl", threads=3, quantum=4, **TINY))
         counts = trace.counts()
         assert counts["ctxsw"] > 3
-        results = replay_trace(trace, ws, ("mpk_virt", "domain_virt"))
+        results = replay_trace(trace, ("mpk_virt", "domain_virt"))
         assert results["mpk_virt"].protection_faults == 0
         assert results["domain_virt"].protection_faults == 0
 
@@ -57,7 +57,7 @@ class TestMultithreadedGeneration:
             trace, ws = generate_micro_trace(MicroParams(
                 benchmark="ss", n_pools=64, initial_nodes=12,
                 operations=120, threads=threads))
-            results = replay_trace(trace, ws, ("mpk_virt",))
+            results = replay_trace(trace, ("mpk_virt",))
             stats = results["mpk_virt"]
             return stats.buckets["tlb_invalidations"] / max(
                 stats.evictions, 1)

@@ -134,6 +134,8 @@ class TestWorkersOneBitIdentity:
             [replay_one(shards[0].trace, scheme, marks=shards[0].marks)],
             frequency_hz=FREQ)
         assert sharded.to_dict() == classic.to_dict()
+        # The merged replay statistics keep the single shard's mark clock.
+        assert sharded.stats.to_dict() == classic.stats.to_dict()
 
     def test_engine_replay_shards_matches_replay_marked(self, single):
         plan, trace = single
@@ -148,6 +150,20 @@ class TestWorkersOneBitIdentity:
             # baseline_cycles wired from the same shard's baseline run.
             assert cell[scheme][0].baseline_cycles == \
                 cell["baseline"][0].cycles
+
+
+class TestParallelShards:
+    """The fork fan-out changes where shards replay, never the result."""
+
+    def test_two_jobs_match_serial(self, sharded):
+        _plan, _trace, shards = sharded
+        schemes = ["mpk_virt", "libmpk", "domain_virt"]
+        serial = Engine(jobs=1).replay_shards(shards, schemes)
+        forked = Engine(jobs=2).replay_shards(shards, schemes)
+        assert forked.keys() == serial.keys()
+        for name, runs in serial.items():
+            assert [s.to_dict() for s in forked[name]] == \
+                [s.to_dict() for s in runs], name
 
 
 class TestCycleConservation:
