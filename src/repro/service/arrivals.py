@@ -18,9 +18,10 @@ A pattern plugin subclasses :class:`ArrivalPattern`:
   ``multiplier / mean_gap`` — a standard thinning-free approximation of
   an inhomogeneous Poisson process that keeps generation single-pass
   and seeded;
-* :meth:`~ArrivalPattern.remap_client` — maps a sampled client onto the
-  currently *connected* population (identity by default); ``churn``
-  uses it to rotate connect/disconnect waves through the tenant set.
+* :meth:`~ArrivalPattern.remap_clients` — maps an array of sampled
+  clients onto the population *connected* at each arrival time
+  (identity by default); ``churn`` overrides it to rotate
+  connect/disconnect waves through the tenant set.
 
 Everything stays a pure, seeded function of
 (:class:`~repro.service.params.ServiceParams`, time), so registered
@@ -30,7 +31,7 @@ plugins keep service traces content-addressable.
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING, List, Tuple
+from typing import TYPE_CHECKING, List
 
 from ..registry import Registry
 
@@ -92,28 +93,16 @@ class ArrivalPattern:
         """Instantaneous offered-rate multiplier at time ``now``."""
         return 1.0
 
-    def remap_client(self, params: "ServiceParams", now: float,
-                     client: int, n_clients: int) -> int:
-        """Map a sampled client onto the connected population."""
-        return client
-
     def remap_clients(self, params: "ServiceParams", now, clients,
                       n_clients: int):
-        """Batch :meth:`remap_client` over parallel time/client arrays.
+        """Map sampled clients onto the connected population.
 
-        ``now`` and ``clients`` are equal-length numpy arrays; returns
-        the remapped client array.  The base implementation loops over
-        the scalar hook, so plugin patterns stay correct without
-        writing array code; the built-ins override it with the closed
-        form (element-for-element identical — pinned by the columnar
-        differential suite).
+        ``now`` (arrival times) and ``clients`` (sampled client ids) are
+        equal-length numpy arrays; returns the remapped client array.
+        Every client is always connected here, so ``clients`` comes back
+        unchanged.
         """
-        import numpy as np
-        remap = self.remap_client
-        return np.asarray(
-            [remap(params, t, c, n_clients)
-             for t, c in zip(now.tolist(), clients.tolist())],
-            dtype=np.int64)
+        return clients
 
 
 @register_pattern("poisson")
@@ -165,23 +154,12 @@ class ChurnPattern(ArrivalPattern):
     disconnection, so there it degrades to ``poisson``.
     """
 
-    def window(self, params: "ServiceParams", now: float,
-               n_clients: int) -> Tuple[int, int]:
-        """The connected window as ``(first client, width)``."""
-        width = max(1, round(n_clients * params.churn_active_fraction))
-        wave = int(now // params.churn_period_cycles)
-        return (wave * width) % n_clients, width
-
-    def remap_client(self, params: "ServiceParams", now: float,
-                     client: int, n_clients: int) -> int:
-        start, width = self.window(params, now, n_clients)
-        return (start + client % width) % n_clients
-
     def remap_clients(self, params: "ServiceParams", now, clients,
                       n_clients: int):
-        # The closed form of the scalar hook over arrays: float floor
-        # division matches ``int(now // period)`` for the non-negative
-        # clocks arrivals run on.
+        # The connected window is ``width`` clients starting at
+        # ``wave * width`` (mod ``n_clients``), where ``wave`` counts
+        # whole churn periods elapsed; a sample keeps its offset within
+        # the window.
         import numpy as np
         width = max(1, round(n_clients * params.churn_active_fraction))
         wave = (now // params.churn_period_cycles).astype(np.int64)

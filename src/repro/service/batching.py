@@ -46,7 +46,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -55,7 +55,7 @@ from .params import ServiceParams, nominal_request_cycles
 from .sched.policy import (REJECT, SHED, SchedPolicy, SchedState,
                            policy_by_name)
 from .arrivals import pattern_by_name
-from .traffic import Request, RequestColumns, generate_request_columns
+from .traffic import RequestColumns, generate_request_columns
 
 
 class DispatchClock:
@@ -111,17 +111,6 @@ class CalibratedClock(DispatchClock):
         return self.window_cycles + self.per_request_cycles * n_requests
 
 
-@dataclass(frozen=True)
-class Batch:
-    """One permission window: same-client requests served back to back."""
-
-    index: int
-    client: int
-    requests: Tuple[Request, ...]
-    #: Worker thread slot (0-based) this batch is assigned to.
-    worker: int
-
-
 class PlanColumns:
     """A schedule as flat arrays over a :class:`RequestColumns` store.
 
@@ -132,8 +121,8 @@ class PlanColumns:
     ``rejected_rows`` the queue-full drops and ``shed_rows`` the SLO
     valve's drops, each in offer order.  Every offered row appears in
     exactly one of ``member_rows``/``rejected_rows``/``shed_rows``.  The
-    streaming server and the latency accounting consume this directly —
-    no per-request objects on the million-request path.
+    streaming server, the latency accounting and the tenant profiler
+    consume this directly; there is no per-batch object form.
     """
 
     __slots__ = ("requests", "member_rows", "batch_starts",
@@ -152,31 +141,6 @@ class PlanColumns:
         self.rejected_rows = rejected_rows
         self.shed_rows = shed_rows
 
-    @classmethod
-    def from_objects(cls, batches: Sequence[Batch],
-                     rejected: Sequence[Request],
-                     shed: Sequence[Request]) -> "PlanColumns":
-        """Columnarize an object-built plan (plugin planners, tests)."""
-        members = [request for batch in batches for request in batch.requests]
-        store = RequestColumns.from_requests(
-            members + list(rejected) + list(shed))
-        sizes = np.fromiter((len(batch.requests) for batch in batches),
-                            dtype=np.int64, count=len(batches))
-        starts = np.zeros(len(batches) + 1, dtype=np.int64)
-        np.cumsum(sizes, out=starts[1:])
-        n_members = len(members)
-        n_dropped = n_members + len(rejected)
-        return cls(
-            requests=store,
-            member_rows=np.arange(n_members, dtype=np.int64),
-            batch_starts=starts,
-            batch_clients=np.fromiter((b.client for b in batches),
-                                      dtype=np.int64, count=len(batches)),
-            batch_workers=np.fromiter((b.worker for b in batches),
-                                      dtype=np.int64, count=len(batches)),
-            rejected_rows=np.arange(n_members, n_dropped, dtype=np.int64),
-            shed_rows=np.arange(n_dropped, len(store), dtype=np.int64))
-
     @property
     def n_batches(self) -> int:
         return int(self.batch_clients.shape[0])
@@ -188,34 +152,16 @@ class PlanColumns:
 class ServicePlan:
     """The full, deterministic schedule of one service run.
 
-    Columnar at heart: plans built by the dispatch simulation carry a
-    :class:`PlanColumns` and materialize the historical
-    ``batches``/``rejected``/``shed`` object lists only on first access
-    (tests, plugin consumers).  Plans may equally be constructed
-    object-first — ``ServicePlan(params=..., batches=[...])`` — in which
-    case :attr:`columns` is derived lazily instead.  Either way the two
-    views hold identical values.
+    ``columns`` holds the schedule itself (:class:`PlanColumns`); the
+    counters record how the planner got there.  ``rejected`` and
+    ``shed`` are the dropped rows of the request store, in offer order.
     """
 
-    def __init__(self, params: ServiceParams,
-                 batches: Optional[List[Batch]] = None,
-                 rejected: Optional[List[Request]] = None,
-                 shed: Optional[List[Request]] = None,
+    def __init__(self, params: ServiceParams, columns: PlanColumns,
                  migrations: int = 0, epochs: int = 0,
-                 loop_iterations: int = 0, *,
-                 columns: Optional[PlanColumns] = None):
+                 loop_iterations: int = 0):
         self.params = params
-        self._columns = columns
-        self._batches = list(batches) if batches is not None else None
-        self._rejected = list(rejected) if rejected is not None else None
-        self._shed = list(shed) if shed is not None else None
-        if columns is None:
-            if self._batches is None:
-                self._batches = []
-            if self._rejected is None:
-                self._rejected = []
-            if self._shed is None:
-                self._shed = []
+        self.columns = columns
         #: Client->worker affinity re-pins the policy applied at epoch
         #: boundaries, and the epochs it evaluated.
         self.migrations = migrations
@@ -225,91 +171,61 @@ class ServicePlan:
         self.loop_iterations = loop_iterations
 
     @property
-    def columns(self) -> PlanColumns:
-        """The columnar schedule (derived once for object-built plans)."""
-        if self._columns is None:
-            self._columns = PlanColumns.from_objects(
-                self._batches, self._rejected, self._shed)
-        return self._columns
+    def rejected(self) -> np.ndarray:
+        """Store rows admission control rejected (queue full)."""
+        return self.columns.rejected_rows
 
     @property
-    def batches(self) -> List[Batch]:
-        if self._batches is None:
-            cols = self._columns
-            members = cols.requests.to_requests(cols.member_rows)
-            starts = cols.batch_starts.tolist()
-            clients = cols.batch_clients.tolist()
-            workers = cols.batch_workers.tolist()
-            self._batches = [
-                Batch(index=i, client=clients[i],
-                      requests=tuple(members[starts[i]:starts[i + 1]]),
-                      worker=workers[i])
-                for i in range(len(clients))]
-        return self._batches
-
-    @property
-    def rejected(self) -> List[Request]:
-        if self._rejected is None:
-            self._rejected = self._columns.requests.to_requests(
-                self._columns.rejected_rows)
-        return self._rejected
-
-    @property
-    def shed(self) -> List[Request]:
-        """Requests the scheduling policy's SLO valve shed (open loop:
+    def shed(self) -> np.ndarray:
+        """Store rows the scheduling policy's SLO valve shed (open loop:
         the request is dropped; closed loop: the deferred retry already
         happened inside the loop, this records the deferral)."""
-        if self._shed is None:
-            self._shed = self._columns.requests.to_requests(
-                self._columns.shed_rows)
-        return self._shed
+        return self.columns.shed_rows
+
+    def _arrays(self) -> Tuple[np.ndarray, ...]:
+        cols = self.columns
+        store = cols.requests
+        return (store.rids, store.clients, store.arrivals, store.is_write,
+                cols.member_rows, cols.batch_starts, cols.batch_clients,
+                cols.batch_workers, cols.rejected_rows, cols.shed_rows)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, ServicePlan):
             return NotImplemented
-        return (self.params, self.batches, self.rejected, self.shed,
-                self.migrations, self.epochs, self.loop_iterations) == \
-            (other.params, other.batches, other.rejected, other.shed,
-             other.migrations, other.epochs, other.loop_iterations)
+        return (self.params, self.migrations, self.epochs,
+                self.loop_iterations) == \
+            (other.params, other.migrations, other.epochs,
+             other.loop_iterations) and \
+            all(np.array_equal(mine, theirs)
+                for mine, theirs in zip(self._arrays(), other._arrays()))
 
     def __repr__(self) -> str:
         return (f"ServicePlan(params={self.params!r}, "
-                f"n_batches={len(self.columns.batch_clients)}, "
+                f"n_batches={self.columns.n_batches}, "
                 f"n_served={self.n_served}, "
-                f"n_rejected={len(self.columns.rejected_rows)})")
+                f"n_rejected={self.n_rejected})")
 
     @property
     def n_served(self) -> int:
-        if self._columns is not None:
-            return int(self._columns.member_rows.shape[0])
-        return sum(len(batch.requests) for batch in self._batches)
+        return int(self.columns.member_rows.shape[0])
 
     @property
     def n_rejected(self) -> int:
-        if self._columns is not None:
-            return int(self._columns.rejected_rows.shape[0])
-        return len(self._rejected)
+        return int(self.columns.rejected_rows.shape[0])
 
     @property
     def n_shed(self) -> int:
-        if self._columns is not None:
-            return int(self._columns.shed_rows.shape[0])
-        return len(self._shed)
+        return int(self.columns.shed_rows.shape[0])
 
     @property
     def coalesced(self) -> int:
         """Requests that shared a window with an earlier one (the count
         of permission-switch pairs batching saved)."""
-        if self._columns is not None:
-            return self.n_served - self._columns.n_batches
-        return sum(len(batch.requests) - 1 for batch in self._batches)
+        return self.n_served - self.columns.n_batches
 
     def batch_sizes(self) -> np.ndarray:
         """Per-batch member counts, in batch order (int64)."""
-        if self._columns is not None:
-            return self._columns.batch_sizes()
-        return np.fromiter((len(b.requests) for b in self._batches),
-                           dtype=np.int64, count=len(self._batches))
+        return self.columns.batch_sizes()
 
 
 def build_plan(params: ServiceParams,
@@ -372,9 +288,8 @@ def _plan(params: ServiceParams, state: SchedState, store: RequestColumns,
         requests=store, member_rows=members, batch_starts=starts,
         batch_clients=clients, batch_workers=workers,
         rejected_rows=rejected, shed_rows=shed)
-    return ServicePlan(params=params, migrations=state.migrations,
-                       epochs=state.epochs, loop_iterations=iterations,
-                       columns=columns)
+    return ServicePlan(params, columns, migrations=state.migrations,
+                       epochs=state.epochs, loop_iterations=iterations)
 
 
 def _stream_plan_columns(params: ServiceParams, clock: DispatchClock,
@@ -384,9 +299,8 @@ def _stream_plan_columns(params: ServiceParams, clock: DispatchClock,
     nominal closed loop whose feedback was resolved at stream time).
 
     The queue holds row indices into the request column store and the
-    result lands straight in :class:`PlanColumns`: no ``Request`` or
-    ``Batch`` objects exist on this path.  Policy hooks see the queue
-    depth and the lookahead's client ids.  The earliest-free worker
+    result lands straight in :class:`PlanColumns`.  Policy hooks see the
+    queue depth and the lookahead's client ids.  The earliest-free worker
     (ties to the lowest slot) is the root of a heap of ``(free, slot)``
     pairs.  A policy-selected head changes *which* client is served;
     coalescing still scans the ``batch_window`` for that client.

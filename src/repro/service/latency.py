@@ -44,7 +44,7 @@ bounded deterministic reservoir and bumps the
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
 import numpy as np
 
@@ -53,7 +53,7 @@ from ..errors import SimulationError
 from ..cpu.trace import Trace
 from ..obs.metrics import Histogram
 from ..sim.stats import RunStats, merge_run_stats
-from .batching import Batch, PlanColumns, ServicePlan
+from .batching import PlanColumns, ServicePlan
 from .sched.accounting import SchedAccounting, fold_shed
 from .sched.profile import profile_tenants
 from .server import batch_markers
@@ -114,18 +114,6 @@ def _served_plan_order(trace: Trace, cols: PlanColumns) -> np.ndarray:
             f"trace serves more batches on worker slot {slot} than "
             f"the plan assigns it — trace/plan mismatch")
     return order[offsets[position] + rank]
-
-
-def served_batches(trace: Trace, plan: ServicePlan) -> List[Batch]:
-    """The plan's batches in the order the trace actually served them.
-
-    The object view of :func:`_served_plan_order` — the accounting
-    itself gathers straight from the plan's column store and never
-    materializes these.
-    """
-    batches = plan.batches
-    return [batches[i]
-            for i in _served_plan_order(trace, plan.columns).tolist()]
 
 
 @dataclass

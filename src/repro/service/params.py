@@ -201,6 +201,24 @@ class ServiceParams:
             raise ValueError("n_clients must be at least 1")
         if self.batch_limit < 1:
             raise ValueError("batch_limit must be at least 1")
+        if self.batch_window < 1:
+            # An empty lookahead selects no members: the planner would
+            # append empty batches forever.
+            raise ValueError("batch_window must be at least 1")
+        if self.max_queue < 0:
+            raise ValueError("max_queue must be non-negative "
+                             "(0 = unbounded)")
+        if self.quantum < 1:
+            raise ValueError("quantum must be at least 1")
+        if self.read_words < 1:
+            raise ValueError("read_words must be at least 1")
+        for name in ("write_words", "stack_per_request",
+                     "compute_per_request"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be non-negative")
+        if self.interarrival_cycles <= 0 or self.think_cycles <= 0:
+            raise ValueError(
+                "interarrival_cycles and think_cycles must be positive")
         # Scheduling-policy names are a registry too — same lazy lookup,
         # same roster-listing error converted for dataclass callers.
         try:

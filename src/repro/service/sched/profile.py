@@ -30,6 +30,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
+import numpy as np
+
 from .accounting import SchedAccounting
 
 #: Fraction of all offered requests the Zipf head covers.
@@ -87,37 +89,28 @@ def profile_tenants(plan, accounting: SchedAccounting,
                     wall_cycles: float) -> List[TenantProfile]:
     """Per-client profiles of one accounted run, sorted by client id.
 
-    ``plan`` supplies the offered stream (batches + rejected + shed);
+    ``plan`` supplies the offered stream — its request store, where
+    every row is exactly one served, rejected or shed request;
     ``accounting`` the replayed per-client latency/busy/window data;
     ``wall_cycles`` the accounted wall clock the spans and busy
     fractions normalize against.
     """
-    offered: Dict[int, int] = {}
-    writes: Dict[int, int] = {}
-    first: Dict[int, float] = {}
-    last: Dict[int, float] = {}
+    store = plan.columns.requests
+    clients = store.clients
+    counts = np.bincount(clients, minlength=plan.params.n_clients)
+    first_arrival = np.full(len(counts), np.inf)
+    last_arrival = np.full(len(counts), -np.inf)
+    np.minimum.at(first_arrival, clients, store.arrivals)
+    np.maximum.at(last_arrival, clients, store.arrivals)
+    offered = counts.tolist()
+    writes = np.bincount(clients[store.is_write],
+                         minlength=len(counts)).tolist()
+    first = first_arrival.tolist()
+    last = last_arrival.tolist()
+    seen = np.flatnonzero(counts).tolist()
 
-    def see(request) -> None:
-        client = request.client
-        offered[client] = offered.get(client, 0) + 1
-        if request.is_write:
-            writes[client] = writes.get(client, 0) + 1
-        arrival = request.arrival
-        if client not in first or arrival < first[client]:
-            first[client] = arrival
-        if client not in last or arrival > last[client]:
-            last[client] = arrival
-
-    for batch in plan.batches:
-        for request in batch.requests:
-            see(request)
-    for request in plan.rejected:
-        see(request)
-    for request in plan.shed:
-        see(request)
-
-    total_offered = sum(offered.values())
-    total_writes = sum(writes.values())
+    total_offered = len(store)
+    total_writes = int(np.count_nonzero(store.is_write))
     overall_write_fraction = (total_writes / total_offered
                               if total_offered else 0.0)
 
@@ -125,18 +118,18 @@ def profile_tenants(plan, accounting: SchedAccounting,
     # reaches HOT_HEAD_FRACTION of all offered requests.
     hot: set = set()
     covered = 0
-    for client in sorted(offered, key=lambda c: (-offered[c], c)):
+    for client in sorted(seen, key=lambda c: (-offered[c], c)):
         if total_offered and covered / total_offered >= HOT_HEAD_FRACTION:
             break
         hot.add(client)
         covered += offered[client]
 
     profiles: List[TenantProfile] = []
-    for client in sorted(offered):
+    for client in seen:
         histogram = accounting.latency.get(client)
         served = histogram.count if histogram is not None else 0
         n_offered = offered[client]
-        write_fraction = writes.get(client, 0) / n_offered
+        write_fraction = writes[client] / n_offered
         span = last[client] - first[client]
         busy = accounting.busy.get(client, 0.0)
         classes = ["hot" if client in hot else "long_tail"]

@@ -2,13 +2,24 @@
 
 import dataclasses
 
+import numpy as np
 import pytest
 
 from repro.cpu.trace import PERM
 from repro.permissions import Perm
 from repro.service import (ServiceParams, batch_boundaries, build_plan,
-                           generate_requests, generate_service_trace)
+                           generate_service_trace)
 from repro.service.arrivals import pattern_by_name
+
+from .objects import stream_of
+
+
+def connected(params, now, n_clients=16):
+    """The clients the pattern maps every sample onto at time ``now``."""
+    pattern = pattern_by_name(params.pattern)
+    remapped = pattern.remap_clients(params, np.full(n_clients, now),
+                                     np.arange(n_clients), n_clients)
+    return set(remapped.tolist())
 
 
 class TestChurnPattern:
@@ -16,30 +27,30 @@ class TestChurnPattern:
         params = ServiceParams(n_clients=16, pattern="churn",
                                churn_period_cycles=1000.0,
                                churn_active_fraction=0.25)
-        churn = pattern_by_name("churn")
-        first = churn.window(params, 0.0, 16)
-        second = churn.window(params, 1000.0, 16)
-        assert first == (0, 4)
-        assert second == (4, 4)
-        assert churn.window(params, 4000.0, 16) == first  # wraps around
+        first = connected(params, 0.0)
+        assert first == {0, 1, 2, 3}
+        assert connected(params, 1000.0) == {4, 5, 6, 7}
+        assert connected(params, 4000.0) == first  # wraps around
 
     def test_remap_confines_clients_to_the_window(self):
         params = ServiceParams(n_clients=16, pattern="churn",
                                churn_period_cycles=1000.0,
                                churn_active_fraction=0.25)
         churn = pattern_by_name("churn")
-        for now in (0.0, 1500.0, 3200.0):
-            start, width = churn.window(params, now, 16)
-            window = {(start + offset) % 16 for offset in range(width)}
-            remapped = {churn.remap_client(params, now, client, 16)
-                        for client in range(16)}
-            assert remapped <= window
+        for now, start in ((0.0, 0), (1500.0, 4), (3200.0, 12)):
+            window = {(start + offset) % 16 for offset in range(4)}
+            clients = np.arange(16)
+            remapped = churn.remap_clients(params, np.full(16, now),
+                                           clients, 16)
+            assert set(remapped.tolist()) == window
+            # A sample keeps its offset within the window.
+            assert ((remapped - start) % 16 == clients % 4).all()
 
     def test_generated_stream_follows_the_rotation(self):
         params = ServiceParams(n_clients=16, n_requests=600,
                                pattern="churn",
                                churn_active_fraction=0.25)
-        clients = {request.client for request in generate_requests(params)}
+        clients = {request.client for request in stream_of(params)}
         # More distinct clients than one window (the window moved), but
         # the stream is still confined to windows, never uniform.
         assert 4 <= len(clients) <= 16
@@ -49,7 +60,7 @@ class TestChurnPattern:
                                pattern="churn",
                                churn_period_cycles=10_000_000.0,
                                churn_active_fraction=0.25)
-        clients = {request.client for request in generate_requests(params)}
+        clients = {request.client for request in stream_of(params)}
         assert clients <= {0, 1, 2, 3}
 
     def test_churn_params_are_validated(self):
@@ -83,7 +94,7 @@ class TestRevocationStorms:
                        if event[0] == PERM and event[4] == int(Perm.NONE))
 
         plan = build_plan(self.PARAMS)
-        storms = len(plan.batches) // self.PARAMS.revoke_every_batches
+        storms = plan.columns.n_batches // self.PARAMS.revoke_every_batches
         swept = max(1, round(self.PARAMS.n_clients
                              * self.PARAMS.revoke_fraction))
         assert revocations(stormy_trace) \
@@ -94,7 +105,7 @@ class TestRevocationStorms:
         # still equal the plan's batch count — the accounting contract.
         trace, _ = generate_service_trace(self.PARAMS)
         assert len(batch_boundaries(trace)) \
-            == len(build_plan(self.PARAMS).batches)
+            == build_plan(self.PARAMS).columns.n_batches
 
     def test_storms_change_the_cache_key_but_defaults_do_not(self):
         from repro.engine.job import WorkloadSpec
@@ -115,4 +126,4 @@ class TestRevocationStorms:
         params = dataclasses.replace(self.PARAMS, workers=3, quantum=2)
         trace, _ = generate_service_trace(params)
         assert len(batch_boundaries(trace)) \
-            == len(build_plan(params).batches)
+            == build_plan(params).columns.n_batches

@@ -12,6 +12,8 @@ from repro.service.closed import CALIBRATION_REQUESTS, calibration_params
 from repro.service.server import batch_boundaries
 from repro.sim.config import DEFAULT_CONFIG
 
+from .objects import batches_of
+
 CLOSED = ServiceParams(n_clients=6, n_requests=120, arrival="closed",
                        dispatch="replay")
 FREQ = DEFAULT_CONFIG.processor.frequency_hz
@@ -56,7 +58,8 @@ class TestKeyedPlans:
         # different schedules, not one stream re-timed.
         dv = build_plan_keyed(CLOSED, "domain_virt")
         mpkv = build_plan_keyed(CLOSED, "mpk_virt")
-        arrivals = lambda plan: [request.arrival for batch in plan.batches
+        arrivals = lambda plan: [request.arrival
+                                 for batch in batches_of(plan)
                                  for request in batch.requests]
         assert arrivals(dv) != arrivals(mpkv)
 
@@ -102,7 +105,7 @@ class TestKeyedSpecs:
         assert set(cell) == {"domain_virt", "mpk_virt"}
         for scheme, stats in cell.items():
             plan = build_plan_keyed(CLOSED, scheme)
-            assert len(stats.mark_cycles) == len(plan.batches)
+            assert len(stats.mark_cycles) == plan.columns.n_batches
             assert stats.baseline_cycles is not None
 
 
@@ -115,7 +118,7 @@ class TestClosedLoopRejections:
                                arrival="closed", dispatch="replay",
                                think_cycles=500.0, max_queue=1)
         plan = build_plan_keyed(params, "domain_virt")
-        assert plan.rejected
+        assert len(plan.rejected)
         assert plan.n_served + len(plan.rejected) == 120
         trace, _ws = generate_service_trace_keyed(params, "domain_virt")
         stats = replay_one(trace, "domain_virt",

@@ -16,6 +16,20 @@ class TestValidation:
         ("batching", "domain"),
         ("n_clients", 0),
         ("batch_limit", 0),
+        # An empty lookahead never drains the queue.
+        ("batch_window", 0),
+        ("max_queue", -1),
+        # Work and clock values that would make wrong traces or fail
+        # deep inside generation.
+        ("read_words", -1),
+        ("read_words", 0),
+        ("write_words", -1),
+        ("stack_per_request", -1),
+        ("compute_per_request", -1),
+        ("quantum", 0),
+        ("interarrival_cycles", -5.0),
+        ("interarrival_cycles", 0),
+        ("think_cycles", 0),
     ])
     def test_rejects_bad_values(self, field, value):
         with pytest.raises(ValueError):

@@ -23,14 +23,19 @@ from repro.scenario.run import serve_compiled
 from repro.service import (ServiceParams, account, build_plan, jain_index,
                            policy_names, profile_tenants)
 from repro.service.arrivals import pattern_by_name
-from repro.service.batching import (Batch, CalibratedClock, NominalClock,
-                                    ServicePlan, _closed_feedback_plan)
+from repro.service.batching import (CalibratedClock, NominalClock,
+                                    _closed_feedback_plan)
 from repro.service.sched import SchedState, policy_by_name
 from repro.service.sched.policy import (ADMIT, MIN_PREDICTIONS,
                                         PREDICTION_WINDOW, REJECT, SHED)
-from repro.service.server import batch_boundaries, generate_service_trace
-from repro.service.traffic import Request, generate_requests, think_gap
+from repro.service.server import (ServiceWorkload, batch_boundaries,
+                                  generate_service_trace)
+from repro.service.traffic import think_gap
 from repro.sim.config import DEFAULT_CONFIG
+
+from . import objects
+from .objects import (Batch, Request, batches_of, plan_from_objects,
+                      rejected_of, shed_of, stream_of)
 
 FREQ = DEFAULT_CONFIG.processor.frequency_hz
 
@@ -48,7 +53,7 @@ def _legacy_stream_plan(params, clock):
     """The pre-scheduler open-loop dispatch simulation, decision for
     decision: bounded-queue admission, head-of-line service, one
     earliest-free clock per worker slot."""
-    stream = generate_requests(params)
+    stream = stream_of(params)
     workers = max(1, params.workers)
     free = [0.0] * workers
     queue, batches, rejected = [], [], []
@@ -80,8 +85,8 @@ def _legacy_stream_plan(params, clock):
         batches.append(Batch(index=len(batches), client=head.client,
                              requests=tuple(members), worker=slot))
         free[slot] = now + clock.batch_cycles(len(members))
-    return ServicePlan(params=params, batches=batches, rejected=rejected,
-                       loop_iterations=iterations)
+    return plan_from_objects(params, batches, rejected,
+                             loop_iterations=iterations)
 
 
 def _legacy_closed_plan(params, clock):
@@ -129,8 +134,8 @@ def _legacy_closed_plan(params, clock):
                 pending,
                 (completion + think_gap(params, rng, completion),
                  request.client))
-    return ServicePlan(params=params, batches=batches, rejected=rejected,
-                       loop_iterations=iterations)
+    return plan_from_objects(params, batches, rejected,
+                             loop_iterations=iterations)
 
 
 # -- the object-hook planner (pre-columnar, verbatim logic) --------------------
@@ -307,7 +312,7 @@ def _object_observe_batch(policy, state, client, members, start,
 
 def _object_stream_plan(params, clock, policy, state):
     """The object-hook open loop over a pre-generated stream."""
-    stream = generate_requests(params)
+    stream = stream_of(params)
     workers = max(1, params.workers)
     free = [0.0] * workers
     queue, batches, rejected = [], [], []
@@ -348,8 +353,8 @@ def _object_stream_plan(params, clock, policy, state):
         _object_observe_batch(policy, state, head.client, members, now,
                               completion)
 
-    return ServicePlan(params=params, batches=batches, rejected=rejected,
-                       loop_iterations=iterations)
+    return plan_from_objects(params, batches, rejected,
+                             loop_iterations=iterations)
 
 
 def _object_closed_plan(params, clock, policy, state):
@@ -418,8 +423,8 @@ def _object_closed_plan(params, clock, policy, state):
             _object_observe_batch(policy, state, head.client, members, now,
                                   completion)
 
-    return ServicePlan(params=params, batches=batches, rejected=rejected,
-                       loop_iterations=iterations)
+    return plan_from_objects(params, batches, rejected,
+                             loop_iterations=iterations)
 
 
 def _object_plan(params, clock):
@@ -430,10 +435,10 @@ def _object_plan(params, clock):
         plan = _object_closed_plan(params, clock, policy, state)
     else:
         plan = _object_stream_plan(params, clock, policy, state)
-    return ServicePlan(params=params, batches=plan.batches,
-                       rejected=plan.rejected, shed=state.shed,
-                       migrations=state.migrations, epochs=state.epochs,
-                       loop_iterations=plan.loop_iterations)
+    return plan_from_objects(params, batches_of(plan), rejected_of(plan),
+                             state.shed, migrations=state.migrations,
+                             epochs=state.epochs,
+                             loop_iterations=plan.loop_iterations)
 
 
 class TestStaticBitIdentity:
@@ -444,10 +449,10 @@ class TestStaticBitIdentity:
         params = replace(CHURN, workers=workers)
         current = build_plan(params)
         legacy = _legacy_stream_plan(params, NominalClock(params))
-        assert current.batches == legacy.batches
-        assert current.rejected == legacy.rejected
+        assert batches_of(current) == batches_of(legacy)
+        assert rejected_of(current) == rejected_of(legacy)
         assert current.loop_iterations == legacy.loop_iterations
-        assert current.shed == [] and current.migrations == 0 \
+        assert current.n_shed == 0 and current.migrations == 0 \
             and current.epochs == 0
 
     @pytest.mark.parametrize("workers", [1, 2])
@@ -459,10 +464,10 @@ class TestStaticBitIdentity:
         state = SchedState(params, clock, max(1, params.workers))
         current = _closed_feedback_plan(params, clock, policy, state)
         legacy = _legacy_closed_plan(params, clock)
-        assert current.batches == legacy.batches
-        assert current.rejected == legacy.rejected
+        assert batches_of(current) == batches_of(legacy)
+        assert rejected_of(current) == rejected_of(legacy)
         assert current.loop_iterations == legacy.loop_iterations
-        assert current.shed == [] and state.migrations == 0
+        assert current.n_shed == 0 and state.migrations == 0
 
     def test_default_policy_is_static(self):
         assert ServiceParams().sched_policy == "static"
@@ -486,9 +491,9 @@ def _assert_matches_object_plan(params, clock):
     columns partition the offered stream."""
     plan = build_plan(params, clock=clock)
     oracle = _object_plan(params, clock)
-    assert plan.batches == oracle.batches
-    assert plan.rejected == oracle.rejected
-    assert plan.shed == oracle.shed
+    assert batches_of(plan) == batches_of(oracle)
+    assert rejected_of(plan) == rejected_of(oracle)
+    assert shed_of(plan) == shed_of(oracle)
     assert plan.loop_iterations == oracle.loop_iterations
     assert plan.epochs == oracle.epochs
     assert plan.migrations == oracle.migrations
@@ -603,16 +608,16 @@ class TestRebalancingConservation:
         assert plan.migrations > 0
 
     def test_requests_partition_exactly(self, plan):
-        offered = generate_requests(plan.params)
-        outcome = [r.rid for b in plan.batches for r in b.requests]
-        outcome += [r.rid for r in plan.rejected]
-        outcome += [r.rid for r in plan.shed]
+        offered = stream_of(plan.params)
+        outcome = [r.rid for b in batches_of(plan) for r in b.requests]
+        outcome += [r.rid for r in rejected_of(plan)]
+        outcome += [r.rid for r in shed_of(plan)]
         assert sorted(outcome) == [r.rid for r in offered]
 
     def test_batches_keep_the_window_discipline(self, plan):
         # Reordering picks *which* client is served, never mixes
         # clients inside one permission window.
-        for batch in plan.batches:
+        for batch in batches_of(plan):
             assert len({r.client for r in batch.requests}) == 1
             assert batch.client == batch.requests[0].client
             assert 0 <= batch.worker < plan.params.workers
@@ -692,6 +697,30 @@ class TestTenantProfiles:
             assert len(classes & {"read_heavy", "write_heavy"}) == 1
         assert any("hot" in p.classes for p in profiles)
         assert any("long_tail" in p.classes for p in profiles)
+
+    @pytest.mark.parametrize("arrival", ["open", "closed"])
+    def test_columns_equal_the_object_walk(self, arrival):
+        # An overloaded adaptive cell that both rejects and sheds, so
+        # every store-row kind feeds the per-client counts.
+        params = replace(CHURN, sched_policy="slo_adaptive",
+                         sched_epoch_batches=8, slo_p99_cycles=1000.0,
+                         max_queue=8, interarrival_cycles=60.0,
+                         think_cycles=960.0, arrival=arrival,
+                         dispatch="replay" if arrival == "closed"
+                         else "nominal")
+        plan = build_plan(params, clock=NominalClock(params))
+        assert plan.n_rejected > 0 and plan.n_shed > 0
+        workload = ServiceWorkload(params)
+        workload.serve(plan)
+        trace = workload.finish()
+        stats = replay_one(trace, "mpk_virt",
+                           marks=batch_boundaries(trace))
+        summary = account(plan, trace, stats, frequency_hz=FREQ)
+        profiles = profile_tenants(plan, summary.sched, summary.wall_cycles)
+        assert profiles == objects.profile_tenants(plan, summary.sched,
+                                                   summary.wall_cycles)
+        assert sum(p.offered for p in profiles) == params.n_requests
+        assert any(p.shed for p in profiles)
 
 
 class TestJobsDeterminism:

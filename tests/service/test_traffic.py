@@ -4,26 +4,29 @@ from collections import Counter
 
 import pytest
 
-from repro.service import ServiceParams, generate_requests
+from repro.service import ServiceParams, generate_request_columns
+from repro.service.arrivals import ARRIVAL_DISCIPLINES
+
+from .objects import columns_of, stream_of
 
 
 class TestDeterminism:
     @pytest.mark.parametrize("arrival", ["open", "closed"])
     def test_same_params_identical_stream(self, arrival):
         params = ServiceParams(n_clients=16, n_requests=300, arrival=arrival)
-        assert generate_requests(params) == generate_requests(params)
+        assert stream_of(params) == stream_of(params)
 
     def test_seed_changes_the_stream(self):
         base = ServiceParams(n_clients=16, n_requests=300)
         import dataclasses
         other = dataclasses.replace(base, seed=base.seed + 1)
-        assert generate_requests(base) != generate_requests(other)
+        assert stream_of(base) != stream_of(other)
 
 
 class TestOpenLoop:
     def test_sorted_arrivals_and_dense_rids(self):
         params = ServiceParams(n_clients=8, n_requests=200)
-        stream = generate_requests(params)
+        stream = stream_of(params)
         assert [request.rid for request in stream] == list(range(200))
         arrivals = [request.arrival for request in stream]
         assert arrivals == sorted(arrivals)
@@ -32,19 +35,19 @@ class TestOpenLoop:
     def test_mean_interarrival_tracks_the_knob(self):
         params = ServiceParams(n_clients=8, n_requests=2000,
                                interarrival_cycles=500.0)
-        stream = generate_requests(params)
+        stream = stream_of(params)
         mean = stream[-1].arrival / len(stream)
         assert mean == pytest.approx(500.0, rel=0.15)
 
     def test_zipf_skews_toward_hot_clients(self):
         params = ServiceParams(n_clients=32, n_requests=2000, zipf=0.9)
-        counts = Counter(r.client for r in generate_requests(params))
+        counts = Counter(r.client for r in stream_of(params))
         uniform_share = params.n_requests / params.n_clients
         assert max(counts.values()) > 2 * uniform_share
 
     def test_zipf_zero_is_roughly_uniform(self):
         params = ServiceParams(n_clients=8, n_requests=4000, zipf=0.0)
-        counts = Counter(r.client for r in generate_requests(params))
+        counts = Counter(r.client for r in stream_of(params))
         assert len(counts) == 8
         assert max(counts.values()) < 2 * min(counts.values())
 
@@ -53,14 +56,14 @@ class TestOpenLoop:
     def test_read_fraction_extremes(self, read_fraction, expect_writes):
         params = ServiceParams(n_clients=4, n_requests=200,
                                read_fraction=read_fraction)
-        writes = [r.is_write for r in generate_requests(params)]
+        writes = [r.is_write for r in stream_of(params)]
         assert all(writes) if expect_writes else not any(writes)
 
 
 class TestClosedLoop:
     def test_one_outstanding_request_per_client(self):
         params = ServiceParams(n_clients=6, n_requests=300, arrival="closed")
-        stream = generate_requests(params)
+        stream = stream_of(params)
         assert len(stream) == 300
         per_client = {}
         for request in stream:
@@ -74,5 +77,27 @@ class TestClosedLoop:
 
     def test_sorted_by_arrival(self):
         params = ServiceParams(n_clients=6, n_requests=300, arrival="closed")
-        arrivals = [r.arrival for r in generate_requests(params)]
+        arrivals = [r.arrival for r in stream_of(params)]
         assert arrivals == sorted(arrivals)
+
+
+class TestPluginDisciplines:
+    @staticmethod
+    def _plug(monkeypatch, produce):
+        monkeypatch.setitem(ARRIVAL_DISCIPLINES._plugins, "plugged", produce)
+        monkeypatch.setitem(ARRIVAL_DISCIPLINES._tags, "plugged", {})
+        return ServiceParams(n_clients=4, n_requests=20, arrival="plugged")
+
+    def test_columns_pass_through(self, monkeypatch):
+        base = ServiceParams(n_clients=4, n_requests=20)
+        expected = stream_of(base)
+        params = self._plug(monkeypatch,
+                            lambda params, rng: columns_of(expected))
+        assert stream_of(params) == expected
+
+    def test_a_list_of_requests_is_a_type_error(self, monkeypatch):
+        base = ServiceParams(n_clients=4, n_requests=20)
+        listed = stream_of(base)
+        params = self._plug(monkeypatch, lambda params, rng: listed)
+        with pytest.raises(TypeError, match="plugged"):
+            generate_request_columns(params)
